@@ -21,12 +21,16 @@ Two checks, two purposes:
 Plus the mega-sweep gates (DESIGN.md §14), all same-machine /
 absolute so no baseline entry is needed:
 
-3. ``mega.cell.vector_speedup`` >= ``--min-vector-speedup`` (default
-   3.0): the vectorized engine must stay >= 3x the scalar one on the
-   overloaded FIX-4 cell where batching pays.
-4. ``mega.cell.max_abs_latency_diff_ms`` <= ``--max-vector-diff``
-   (default 1e-9): the vectorized path may not drift from the scalar
-   engine (in practice the divergence is exactly 0.0).
+3. ``mega.cell.vector_speedup`` and ``mega.cell.default_speedup`` >=
+   ``--min-vector-speedup`` (default 3.0): on the overloaded FIX-4 cell
+   where batching pays, both the vector engine (batch kernels
+   throughout) and the default engine (batch kernels past its entry
+   size) must stay >= 3x the loop-only engine.
+4. ``mega.cell.max_abs_latency_diff_ms`` and
+   ``mega.cell.default_max_abs_latency_diff_ms`` <= ``--max-vector-diff``
+   (default 1e-9): neither may drift from the loops, and the default
+   engine may not drift from the vector one (in practice every
+   divergence is exactly 0.0).
 5. ``mega.stream.peak_traced_mb`` <= ``--max-stream-peak-mb`` (default
    64): a streamed mega-run must hold O(running set) memory, not O(n).
 6. ``mega.sharded.workers_identical`` must attest that the sharded
@@ -60,13 +64,13 @@ def main(argv: list[str] | None = None) -> int:
         "--min-vector-speedup",
         type=float,
         default=3.0,
-        help="min same-machine vectorized-vs-scalar speedup on the mega cell",
+        help="min same-machine batch-vs-loop-only speedup on the mega cell",
     )
     parser.add_argument(
         "--max-vector-diff",
         type=float,
         default=1e-9,
-        help="max per-record latency divergence (ms) of the vectorized engine",
+        help="max per-record latency divergence (ms) of the batch kernels",
     )
     parser.add_argument(
         "--max-stream-peak-mb",
@@ -96,25 +100,24 @@ def main(argv: list[str] | None = None) -> int:
     if not report["single_process"].get("bit_identical_to_reference", False):
         failed = fail("report does not attest bit-identity")
 
-    vector_speedup = float(
-        get_path(report, args.report, "mega", "cell", "vector_speedup")
-    )
-    print(f"vectorized engine speedup vs scalar (mega cell): {vector_speedup:.2f}x")
-    if vector_speedup < args.min_vector_speedup:
-        failed = fail(
-            f"vectorized speedup fell to {vector_speedup:.2f}x "
-            f"(< {args.min_vector_speedup:.2f}x)"
-        )
-
-    vector_diff = float(
-        get_path(report, args.report, "mega", "cell", "max_abs_latency_diff_ms")
-    )
-    print(f"vectorized max per-record latency divergence: {vector_diff:g} ms")
-    if vector_diff > args.max_vector_diff:
-        failed = fail(
-            f"vectorized engine diverges from scalar by {vector_diff:g} ms "
-            f"(> {args.max_vector_diff:g})"
-        )
+    for engine, speedup_key, diff_key in (
+        ("vector", "vector_speedup", "max_abs_latency_diff_ms"),
+        ("default", "default_speedup", "default_max_abs_latency_diff_ms"),
+    ):
+        speedup = float(get_path(report, args.report, "mega", "cell", speedup_key))
+        print(f"{engine} engine speedup vs loop-only (mega cell): {speedup:.2f}x")
+        if speedup < args.min_vector_speedup:
+            failed = fail(
+                f"{engine} engine speedup fell to {speedup:.2f}x "
+                f"(< {args.min_vector_speedup:.2f}x)"
+            )
+        diff = float(get_path(report, args.report, "mega", "cell", diff_key))
+        print(f"{engine} engine max per-record latency divergence: {diff:g} ms")
+        if diff > args.max_vector_diff:
+            failed = fail(
+                f"{engine} engine diverges from the loops by {diff:g} ms "
+                f"(> {args.max_vector_diff:g})"
+            )
 
     stream_peak = float(
         get_path(report, args.report, "mega", "stream", "peak_traced_mb")

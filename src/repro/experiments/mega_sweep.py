@@ -43,7 +43,6 @@ def run_mega_sweep(
     scale: Scale | None = None,
     shards: int | None = None,
     workers: int | None = None,
-    vectorized: bool = False,
 ) -> ShardedSweepResult:
     """The sharded sweep itself (also the CI smoke entry point)."""
     scale = scale or default_scale()
@@ -60,7 +59,6 @@ def run_mega_sweep(
         quantum_ms=lucene_mod.QUANTUM_MS,
         seed=SEED,
         spin_fraction=lucene_mod.SPIN_FRACTION,
-        vectorized=vectorized,
     )
 
 

@@ -125,7 +125,6 @@ def stream_policy(
     process: ArrivalProcess | None = None,
     spin_fraction: float = 0.25,
     fault_plan: "FaultPlan | None" = None,
-    vectorized: bool = False,
     chunk_size: int = 8192,
 ):
     """:func:`run_policy` for million-request runs: arrivals are
@@ -154,7 +153,6 @@ def stream_policy(
         quantum_ms=quantum_ms,
         spin_fraction=spin_fraction,
         fault_plan=fault_plan,
-        vectorized=vectorized,
     )
 
 

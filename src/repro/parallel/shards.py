@@ -224,6 +224,10 @@ def run_sharded_sweep(
     knob: different shard counts simulate different trace
     decompositions.  ``workers`` remains purely a wall-clock knob: the
     merged summaries are bit-identical for any worker count.
+    ``vectorized=True`` runs every shard on
+    :class:`repro.sim.vector.VectorEngine` (batch kernels from the first
+    request) for attestation; the default engine already batches large
+    running sets.
     """
     named = _named_schedulers(schedulers)
     if not named:

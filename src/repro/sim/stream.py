@@ -214,7 +214,9 @@ def simulate_stream(
     ``attribution`` defaults off here (unlike :func:`simulate`): the
     flight recorder's per-request components are never read back in
     streamed runs, and skipping them trims the hot loop.
-    ``vectorized=True`` swaps in :class:`repro.sim.vector.VectorEngine`.
+    ``vectorized=True`` runs :class:`repro.sim.vector.VectorEngine`
+    (batch kernels from the first request) for attestation; the default
+    engine already batches large running sets.
     """
     if vectorized:
         from repro.sim.vector import VectorEngine

@@ -1,84 +1,53 @@
-"""Numpy-vectorized engine batches (DESIGN.md §14).
+"""The engine pinned to its numpy batch kernels (DESIGN.md §14).
 
-:class:`VectorEngine` runs the exact simulation :class:`~repro.sim
-.engine.Engine` runs — same events, same admission decisions, same
-floats — but executes the two O(running set) per-event loops (the
-commit that advances every running request and the rate recompute that
-re-shares the cores) as numpy array operations.  When hundreds or
-thousands of requests run concurrently (saturated FIX-N cells, the
-mega-sweep workloads) this turns ~microseconds-per-request python loops
-into a handful of array ops, which is where the ≥3x events/sec floor in
-``check_engine_regression.py`` comes from.  With small running sets the
-array-op overhead dominates and the scalar engine is faster — the
-vectorized path is opt-in per run (``simulate(..., vectorized=True)``).
+:class:`~repro.sim.engine.Engine` already runs the two O(running set)
+per-event loops — the commit that advances every running request and
+the rate recompute that re-shares the cores — as numpy column kernels
+once the running set reaches :data:`~repro.sim.engine.BATCH_ENTRY`
+requests, and returns to the loops below
+:data:`~repro.sim.engine.BATCH_EXIT`.  The crossover table behind those
+sizes is in the :mod:`repro.sim.engine` docstring.
 
-Equivalence design — the gate requires latencies within 1e-9 ms of the
-scalar engine, and the implementation aims higher (bit identity) by
-construction:
+:class:`VectorEngine` is that engine with the batch kernels on from the
+first request and never off.  It exists for attestation, not speed:
+tests and benchmarks run it next to a loop-only engine to show the
+kernels agree bit for bit at every running-set size, including the
+small ones the default engine never batches.  ``simulate(...,
+vectorized=True)`` and its siblings select it.
 
-* **Slot order is running-set order.**  Requests append to the column
-  arrays in start order and holes left by completions are never reused
-  (compaction preserves relative order), so the active slots in index
-  order always equal the scalar engine's ``dict`` iteration order.
-* **Sums are sequential.**  The demand sums and the busy-core integral
-  use ``np.cumsum(...)[-1]`` — numpy's ``add.accumulate`` is defined
-  left-to-right, so with zeros on inactive lanes (``x + 0.0 == x``
-  exactly for the positive addends here) the result is bit-identical
-  to the scalar engine's accumulation loop.  ``np.add.reduce``'s
-  pairwise summation would *not* be.
-* **Elementwise ops mirror the scalar expressions** operation for
-  operation (IEEE 754 makes ``a * b`` the same in numpy and python).
-* The only accounting that deviates is per-request ``degree_residency``
-  (tracked by anchor timestamps and flushed on degree change/finish
-  rather than summed per commit — same value up to float re-association;
-  it feeds no RequestRecord field and no latency).
+The equality is exact by construction (slot order is running-set order,
+order-sensitive sums are left-to-right ``np.cumsum``, elementwise ops
+mirror the loops), and that covers per-request ``degree_residency``
+too: a per-slot column holds the current degree's running sum, seeded
+from the request's dict and written back on a degree change, at finish
+and at mode exit.
 
-Unsupported in vectorized mode: heterogeneous topologies and the live
-observability plane (both raise at construction; use the scalar engine).
+Heterogeneous topologies are rejected: the slot table has no pool
+column, so they run on the engine's per-pool loops.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
-from repro.sim.engine import _STALL, Engine
-from repro.sim.events import Event, EventKind
-from repro.sim.metrics import MetricsCollector
-from repro.sim.request import RequestState, SimRequest
 from repro.sim.api import Scheduler
+from repro.sim.engine import Engine
+from repro.sim.metrics import MetricsCollector
 from repro.telemetry import Telemetry
 
 __all__ = ["VectorEngine"]
 
-#: Column names holding float64 per-slot state (zeroed on free lanes).
-_FLOAT_COLS = (
-    "_rem",  # remaining_work
-    "_rate",
-    "_dspeed",  # degree_speedup
-    "_ddemand",  # degree_demand (occupancy)
-    "_sfactor",  # share_factor
-    "_score",  # share_cores
-    "_degf",  # float(degree) — for thread-time integrals
-    "_eff",  # effective_ms
-    "_tthread",  # thread_time_ms
-    "_tcore",  # core_time_ms
-    "_a_serv",
-    "_a_cont",
-    "_a_bwait",
-    "_a_stall",
-    "_stall_until",
-    "_anchor",  # degree-residency anchor timestamp
-)
-
 
 class VectorEngine(Engine):
-    """The scalar engine with its hot loops replaced by numpy batches.
+    """:class:`~repro.sim.engine.Engine` on the batch kernels at every
+    running-set size.
 
-    Drop-in: same constructor (minus heterogeneous topologies and the
-    live plane), same :meth:`run` contract including streamed arrivals.
+    Drop-in: same constructor (minus heterogeneous topologies), same
+    :meth:`run` contract including streamed arrivals and the live plane.
     """
+
+    _batch_entry = 1
+    _batch_exit = 0
 
     def __init__(
         self,
@@ -98,11 +67,6 @@ class VectorEngine(Engine):
                 "VectorEngine does not support heterogeneous topologies; "
                 "use the scalar Engine for repro.hetero runs"
             )
-        if live is not None:
-            raise SimulationError(
-                "VectorEngine does not support the live observability plane; "
-                "use the scalar Engine with live=..."
-            )
         super().__init__(
             cores=cores,
             scheduler=scheduler,
@@ -111,338 +75,6 @@ class VectorEngine(Engine):
             fault_plan=fault_plan,
             telemetry=telemetry,
             attribution=attribution,
+            live=live,  # type: ignore[arg-type]
             collector=collector,
         )
-        capacity = 256
-        for name in _FLOAT_COLS:
-            setattr(self, name, np.zeros(capacity, dtype=np.float64))
-        self._degi = np.zeros(capacity, dtype=np.int64)
-        self._rids = np.zeros(capacity, dtype=np.int64)
-        self._act = np.zeros(capacity, dtype=bool)
-        self._boosted_col = np.zeros(capacity, dtype=bool)
-        self._bpending_col = np.zeros(capacity, dtype=bool)
-        self._slot_req: list[SimRequest | None] = [None] * capacity
-        self._slot_of: dict[int, int] = {}
-        self._n_slots = 0  # append high-water mark (active slots + holes)
-        self._n_active = 0
-
-    # ------------------------------------------------------------------
-    # Slot management
-    # ------------------------------------------------------------------
-    def _grow(self) -> None:
-        capacity = len(self._act)
-        new_capacity = capacity * 2
-        for name in _FLOAT_COLS:
-            old = getattr(self, name)
-            new = np.zeros(new_capacity, dtype=np.float64)
-            new[:capacity] = old
-            setattr(self, name, new)
-        for name in ("_degi", "_rids"):
-            old = getattr(self, name)
-            new = np.zeros(new_capacity, dtype=np.int64)
-            new[:capacity] = old
-            setattr(self, name, new)
-        for name in ("_act", "_boosted_col", "_bpending_col"):
-            old = getattr(self, name)
-            new = np.zeros(new_capacity, dtype=bool)
-            new[:capacity] = old
-            setattr(self, name, new)
-        self._slot_req.extend([None] * capacity)
-
-    def _compact(self) -> None:
-        """Squeeze out the holes, preserving slot order (and with it
-        the equality with the scalar engine's dict iteration order)."""
-        n = self._n_slots
-        keep = np.nonzero(self._act[:n])[0]
-        k = len(keep)
-        for name in _FLOAT_COLS:
-            col = getattr(self, name)
-            col[:k] = col[keep]
-            col[k:n] = 0.0
-        for name in ("_degi", "_rids"):
-            col = getattr(self, name)
-            col[:k] = col[keep]
-            col[k:n] = 0
-        self._boosted_col[:k] = self._boosted_col[keep]
-        self._boosted_col[k:n] = False
-        self._bpending_col[:k] = self._bpending_col[keep]
-        self._bpending_col[k:n] = False
-        self._act[:k] = True
-        self._act[k:n] = False
-        kept_requests = [self._slot_req[i] for i in keep]
-        for i, request in enumerate(kept_requests):
-            self._slot_req[i] = request
-        for i in range(k, n):
-            self._slot_req[i] = None
-        self._slot_of = {req.rid: i for i, req in enumerate(kept_requests)}
-        self._n_slots = k
-
-    def _add_slot(self, request: SimRequest) -> None:
-        if self._n_slots == len(self._act):
-            if self._n_slots >= 64 and self._n_active * 2 < self._n_slots:
-                self._compact()
-            else:
-                self._grow()
-        slot = self._n_slots
-        self._n_slots = slot + 1
-        self._n_active += 1
-        self._slot_of[request.rid] = slot
-        self._slot_req[slot] = request
-        self._rids[slot] = request.rid
-        self._act[slot] = True
-        self._rem[slot] = request.remaining_work
-        self._rate[slot] = request.rate
-        self._dspeed[slot] = request.degree_speedup
-        self._ddemand[slot] = request.degree_demand
-        self._sfactor[slot] = request.share_factor
-        self._score[slot] = request.share_cores
-        self._degi[slot] = request.degree
-        self._degf[slot] = float(request.degree)
-        self._eff[slot] = request.effective_ms
-        self._tthread[slot] = request.thread_time_ms
-        self._tcore[slot] = request.core_time_ms
-        self._a_serv[slot] = request.attr_service_ms
-        self._a_cont[slot] = request.attr_contention_ms
-        self._a_bwait[slot] = request.attr_boost_wait_ms
-        self._a_stall[slot] = request.attr_stall_ms
-        self._stall_until[slot] = request.stalled_until_ms
-        self._boosted_col[slot] = request.boosted
-        self._bpending_col[slot] = request.boost_pending
-        self._anchor[slot] = self.now_ms
-
-    def _remove_slot(self, rid: int) -> None:
-        slot = self._slot_of.pop(rid)
-        self._slot_req[slot] = None
-        self._act[slot] = False
-        self._boosted_col[slot] = False
-        self._bpending_col[slot] = False
-        self._degi[slot] = 0
-        self._rids[slot] = 0
-        for name in _FLOAT_COLS:
-            getattr(self, name)[slot] = 0.0
-        self._n_active -= 1
-        if self._n_slots >= 64 and self._n_active * 2 < self._n_slots:
-            self._compact()
-
-    def _flush_residency(self, slot: int, request: SimRequest) -> None:
-        """Charge the wall time since the anchor to the request's
-        current degree (called before the degree changes and at
-        finish — the lazy equivalent of the scalar per-commit sum)."""
-        dt = self.now_ms - self._anchor[slot]
-        if dt > 0:
-            residency = request.degree_residency
-            degree = request.degree
-            residency[degree] = residency.get(degree, 0.0) + dt
-        self._anchor[slot] = self.now_ms
-
-    def _sync_request(self, slot: int, request: SimRequest) -> None:
-        """Copy a slot's accumulated state back onto its object (at
-        completion, and before scheduler hooks that read progress)."""
-        request.remaining_work = float(self._rem[slot])
-        request.effective_ms = float(self._eff[slot])
-        request.thread_time_ms = float(self._tthread[slot])
-        request.core_time_ms = float(self._tcore[slot])
-        request.attr_service_ms = float(self._a_serv[slot])
-        request.attr_contention_ms = float(self._a_cont[slot])
-        request.attr_boost_wait_ms = float(self._a_bwait[slot])
-        request.attr_stall_ms = float(self._a_stall[slot])
-        request.share_factor = float(self._sfactor[slot])
-        request.share_cores = float(self._score[slot])
-        request.rate = float(self._rate[slot])
-
-    # ------------------------------------------------------------------
-    # Overridden engine entry points
-    # ------------------------------------------------------------------
-    def _start_request(
-        self, request: SimRequest, degree: int, pool: int | None = None
-    ) -> None:
-        super()._start_request(request, degree, pool)
-        self._add_slot(request)
-
-    def _handle_quantum(self, request: SimRequest, event: Event) -> None:
-        if request.state is not RequestState.RUNNING:
-            super()._handle_quantum(request, event)  # early return, no re-arm
-            return
-        slot = self._slot_of[request.rid]
-        # Scheduler hooks read progress off the object (FM climbs the
-        # interval table on effective_progress_ms) — sync the hot
-        # fields in before the hook, and the degree/boost state the
-        # hook may have changed back out after.
-        request.remaining_work = float(self._rem[slot])
-        request.effective_ms = float(self._eff[slot])
-        request.rate = float(self._rate[slot])
-        old_degree = request.degree
-        super()._handle_quantum(request, event)
-        if request.degree != old_degree:
-            self._flush_residency_at_degree(slot, request, old_degree)
-            self._degi[slot] = request.degree
-            self._degf[slot] = float(request.degree)
-            self._dspeed[slot] = request.degree_speedup
-            self._ddemand[slot] = request.degree_demand
-        self._boosted_col[slot] = request.boosted
-        self._bpending_col[slot] = request.boost_pending
-
-    def _flush_residency_at_degree(
-        self, slot: int, request: SimRequest, degree: int
-    ) -> None:
-        dt = self.now_ms - self._anchor[slot]
-        if dt > 0:
-            residency = request.degree_residency
-            residency[degree] = residency.get(degree, 0.0) + dt
-        self._anchor[slot] = self.now_ms
-
-    def _handle_fault(self, payload: object) -> None:
-        super()._handle_fault(payload)
-        if payload[0] == _STALL:  # type: ignore[index]
-            # The victim's stalled_until_ms changed on the object; the
-            # column must agree before the next commit.  Cold path.
-            n = self._n_slots
-            stall_until = self._stall_until
-            for slot in np.nonzero(self._act[:n])[0]:
-                stall_until[slot] = self._slot_req[slot].stalled_until_ms
-
-    def _stall_victim(self) -> SimRequest | None:
-        n = self._n_slots
-        if n == 0:
-            return None
-        now = self.now_ms
-        rem = self._rem[:n]
-        candidates = (
-            self._act[:n]
-            & (now >= self._stall_until[:n] - 1e-9)  # not is_stalled(now)
-            & (rem > 1e-9)  # not is_finished
-        )
-        if not candidates.any():
-            return None
-        most = rem[candidates].max()
-        tied = candidates & (rem == most)
-        rids = self._rids[:n]
-        slot = int(np.nonzero(tied)[0][np.argmin(rids[tied])])
-        return self._slot_req[slot]
-
-    def _handle_completion(self) -> None:
-        n = self._n_slots
-        finished_slots = np.nonzero(self._act[:n] & (self._rem[:n] <= 1e-9))[0]
-        if finished_slots.size == 0:
-            raise SimulationError("completion event with no finished request")
-        finished: list[SimRequest] = []
-        for slot in finished_slots:  # slot order == running-set order
-            request = self._slot_req[slot]
-            self._sync_request(slot, request)
-            self._flush_residency(slot, request)
-            finished.append(request)
-        for request in finished:
-            request.finish(self.now_ms)
-            del self._running[request.rid]
-            self._remove_slot(request.rid)
-            self._metrics.record(request)  # snapshot before boost release
-            if self.telemetry is not None:
-                self._finish_telemetry(request)
-            self.boost.release(request)
-            self._completed += 1
-            self.scheduler.on_exit(self._ctx, request)
-        if self._discard_done:
-            requests = self._requests
-            for request in finished:
-                del requests[request.rid]
-        self._rates_dirty = True
-        self._wake_waiters(exits=len(finished))
-
-    # ------------------------------------------------------------------
-    # The vectorized hot loops
-    # ------------------------------------------------------------------
-    def _commit(self, t: float) -> None:
-        dt = t - self.now_ms
-        if dt > 0:
-            n = self._n_slots
-            busy_cores = 0.0
-            total_threads = 0
-            if n:
-                now = self.now_ms
-                active = self._act[:n]
-                sfactor = self._sfactor[:n]
-                useful = sfactor * dt  # zero on free lanes (factor 0)
-                if self.fault_plan is not None:
-                    stalled = active & (now < self._stall_until[:n] - 1e-9)
-                    not_stalled = active & ~stalled
-                else:
-                    stalled = None
-                    not_stalled = active
-                if self.attribution:
-                    if stalled is not None:
-                        self._a_stall[:n] += np.where(stalled, dt, 0.0)
-                    self._a_serv[:n] += np.where(not_stalled, useful, 0.0)
-                    slowdown = dt - useful
-                    boost_wait = (
-                        not_stalled & self._bpending_col[:n] & ~self._boosted_col[:n]
-                    )
-                    self._a_bwait[:n] += np.where(boost_wait, slowdown, 0.0)
-                    self._a_cont[:n] += np.where(
-                        not_stalled & ~boost_wait, slowdown, 0.0
-                    )
-                self._eff[:n] += useful  # accrues even while stalled, as scalar does
-                rem = self._rem[:n]
-                remaining = rem - self._rate[:n] * dt
-                overshoot = active & (remaining < -1e-6)
-                if overshoot.any():
-                    slot = int(np.argmax(overshoot))
-                    raise SimulationError(
-                        f"request {self._slot_req[slot].rid}: "
-                        f"overshoot {remaining[slot]}"
-                    )
-                remaining[remaining <= 0.0] = 0.0
-                rem[:] = remaining
-                self._tthread[:n] += self._degf[:n] * dt
-                score = self._score[:n]
-                self._tcore[:n] += score * dt
-                # Sequential (cumsum) sum: bit-identical to the scalar
-                # engine's running-set accumulation, zeros on free lanes.
-                busy_cores = float(np.cumsum(score)[-1])
-                total_threads = int(self._degi[:n].sum())
-            in_system = (
-                len(self._running) + len(self._delayed) + len(self._waiting_fifo)
-            )
-            self._metrics.observe_interval(dt, total_threads, busy_cores, in_system)
-        self.now_ms = t
-
-    def _recompute_rates(self) -> None:
-        self._rates_dirty = False
-        self._generation += 1
-        if self._n_active == 0:
-            return  # scalar path: zero sums, factors 1.0, no completion event
-        n = self._n_slots
-        active = self._act[:n]
-        boosted = self._boosted_col[:n]
-        demand = self._ddemand[:n]
-        # cumsum, not sum(): sequential accumulation in slot order ==
-        # the scalar engine's dict-order loop, bit for bit.
-        boosted_demand = float(np.cumsum(np.where(boosted, demand, 0.0))[-1])
-        unboosted_demand = float(np.cumsum(np.where(active & ~boosted, demand, 0.0))[-1])
-
-        cores = self._cores_online
-        boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
-        remaining_cores = cores - boosted_demand * boosted_factor
-        if unboosted_demand > 0:
-            unboosted_factor = min(1.0, max(0.0, remaining_cores) / unboosted_demand)
-        else:
-            unboosted_factor = 1.0
-
-        factor = np.where(boosted, boosted_factor, unboosted_factor)
-        factor[~active] = 0.0  # free-lane invariant: everything stays zero
-        share_cores = demand * factor
-        rate = self._dspeed[:n] * factor
-        now = self.now_ms
-        if self.fault_plan is not None:
-            rate[active & (now < self._stall_until[:n] - 1e-9)] = 0.0
-        self._sfactor[:n] = factor
-        self._score[:n] = share_cores
-        self._rate[:n] = rate
-
-        positive = rate > 0.0
-        if positive.any():
-            etas = now + self._rem[:n][positive] / rate[positive]
-            earliest = float(etas.min())
-            self._queue.push(
-                max(earliest, now),
-                Event(EventKind.COMPLETION, generation=self._generation),
-            )

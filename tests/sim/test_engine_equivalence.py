@@ -93,6 +93,36 @@ def _interval_table():
     )
 
 
+class _LoopOnly(Engine):
+    """The engine with its batch-kernel entry disabled: the per-request
+    loops at every running-set size."""
+
+    _batch_entry = float("inf")
+
+
+class _SwitchCounting(Engine):
+    """The default engine, counting its kernel switches and tracking its
+    peak running-set size."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entries = 0
+        self.exits = 0
+        self.peak = 0
+
+    def _start_request(self, *args, **kwargs):
+        super()._start_request(*args, **kwargs)
+        self.peak = max(self.peak, len(self._running))
+
+    def _enter_batch(self):
+        self.entries += 1
+        super()._enter_batch()
+
+    def _exit_batch(self):
+        self.exits += 1
+        super()._exit_batch()
+
+
 _SCHEDULER_FACTORIES = {
     "seq": lambda: SequentialScheduler(),
     "fix4": lambda: FixedScheduler(4),
@@ -141,6 +171,18 @@ class TestBitIdentityWithBaseline:
             arrivals, FMScheduler(_interval_table()), cores=6, attribution=False
         )
         _assert_identical(result, reference)
+
+
+    def test_matches_reference_across_kernel_switches(self):
+        """FIX-4 at 400 RPS on 4 cores grows the running set to ~390:
+        past BATCH_ENTRY onto the batch kernels and, as it drains, back
+        below BATCH_EXIT onto the loops — bit-identical throughout."""
+        arrivals = _sweep_arrivals(400.0, 500, seed=77)
+        engine = _SwitchCounting(cores=4, scheduler=FixedScheduler(4))
+        result = engine.run(arrivals)
+        reference = simulate_baseline(arrivals, FixedScheduler(4), cores=4)
+        _assert_identical(result, reference)
+        assert engine.peak > 300 and (engine.entries, engine.exits) == (1, 1)
 
 
 class TestEngineReentrancy:

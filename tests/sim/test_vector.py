@@ -1,9 +1,10 @@
-"""The vectorized engine's correctness bar: :class:`repro.sim.vector.
-VectorEngine` must produce **bit-for-bit identical** results to the
-scalar :class:`~repro.sim.engine.Engine` on fixed seeds — the design
-(slot-order invariant + strictly sequential ``np.cumsum`` reductions)
-claims exact equality, strictly stronger than the 1e-9 gate the
-benchmark regression check enforces."""
+"""The batch kernels' correctness bar: :class:`repro.sim.vector.
+VectorEngine` (batch kernels from the first request) must produce
+**bit-for-bit identical** results to the engine's per-request loops
+(an :class:`~repro.sim.engine.Engine` whose batch entry is disabled)
+on fixed seeds — the design (slot-order invariant + strictly
+sequential ``np.cumsum`` reductions) claims exact equality, strictly
+stronger than the 1e-9 gate the benchmark regression check enforces."""
 
 from __future__ import annotations
 
@@ -20,13 +21,14 @@ from repro.sim import simulate
 from repro.sim.vector import VectorEngine
 from tests.sim.test_engine_equivalence import (
     _SCHEDULER_FACTORIES,
+    _LoopOnly,
     _assert_identical,
     _sweep_arrivals,
 )
 
 
 def _run_both(arrivals, factory, cores=6, **kwargs):
-    scalar = simulate(arrivals, factory(), cores=cores, **kwargs)
+    scalar = _LoopOnly(cores=cores, scheduler=factory(), **kwargs).run(arrivals)
     vector = simulate(arrivals, factory(), cores=cores, vectorized=True, **kwargs)
     return scalar, vector
 
@@ -76,10 +78,10 @@ class TestBitIdentityWithScalarEngine:
         _assert_identical(vector, scalar)
 
     def test_degree_residency_matches_values(self):
-        """Residency is the one accounting VectorEngine tracks via lazy
-        anchors instead of per-quantum increments; totals must still
-        agree (same additions, possibly re-associated).  Captured via an
-        ``on_exit`` wrapper since records keep only the derived
+        """The batch kernels keep the current degree's residency in a
+        column that receives the loop's additions in the loop's order,
+        so every entry is bit-identical.  Captured via an ``on_exit``
+        wrapper since records keep only the derived
         ``average_parallelism``."""
         from repro.schedulers import AdaptiveScheduler
 
@@ -94,15 +96,10 @@ class TestBitIdentityWithScalarEngine:
 
         arrivals = _sweep_arrivals(60.0, 300, seed=9)
         scalar_sched, vector_sched = Capturing(), Capturing()
-        scalar = simulate(arrivals, scalar_sched, cores=6)
+        scalar = _LoopOnly(cores=6, scheduler=scalar_sched).run(arrivals)
         vector = simulate(arrivals, vector_sched, cores=6, vectorized=True)
         _assert_identical(vector, scalar)
-        assert set(vector_sched.residency) == set(scalar_sched.residency)
-        for rid, theirs in scalar_sched.residency.items():
-            ours = vector_sched.residency[rid]
-            assert set(ours) == set(theirs)
-            for degree, ms in theirs.items():
-                assert ours[degree] == pytest.approx(ms, abs=1e-9)
+        assert vector_sched.residency == scalar_sched.residency
 
 
 class TestUnsupportedFeatures:
@@ -113,13 +110,25 @@ class TestUnsupportedFeatures:
                 cores=4, scheduler=SequentialScheduler(), topology=topology
             )
 
-    def test_live_plane_rejected(self):
+
+class TestLivePlane:
+    def test_live_plane_windows_match_scalar_engine(self):
+        """Completions on the batch kernels feed the live plane through
+        the engine's one completion path."""
         from repro.observe.live import LivePlane
 
-        with pytest.raises(SimulationError, match="live"):
-            VectorEngine(
-                cores=4, scheduler=SequentialScheduler(), live=LivePlane()
-            )
+        arrivals = _sweep_arrivals(70.0, 400, seed=21)
+        planes = LivePlane(window_ms=50.0), LivePlane(window_ms=50.0)
+        scalar = _LoopOnly(
+            cores=6, scheduler=_SCHEDULER_FACTORIES["fm"](), live=planes[0]
+        ).run(arrivals)
+        vector = simulate(
+            arrivals, _SCHEDULER_FACTORIES["fm"](), cores=6, live=planes[1],
+            vectorized=True,
+        )
+        _assert_identical(vector, scalar)
+        windows = [[repr(w.to_dict()) for w in plane.windows()] for plane in planes]
+        assert windows[0] and windows[0] == windows[1]
 
 
 class TestVectorizedPerformanceShape:
