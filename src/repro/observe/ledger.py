@@ -394,18 +394,16 @@ def entry_from_result(
     wall-clock/git provenance blank so tests and determinism
     attestations get byte-identical entries.
     """
-    from repro.sim.metrics import ATTRIBUTION_COMPONENTS
+    from repro.sim.metrics import ATTRIBUTION_COMPONENTS, attribution_columns
 
     artifacts = RunArtifacts()
+    columns = attribution_columns(result.records)
     latency = LogHistogram()
-    components = {c: LogHistogram() for c in ATTRIBUTION_COMPONENTS}
-    for record in result.records:
-        latency.record(record.latency_ms)
-        attribution = record.attribution()
-        for component, histogram in components.items():
-            histogram.record(attribution[component])
+    latency.record_many(columns["latency_ms"])
     artifacts.add_histogram("latency_ms", latency)
-    for component, histogram in components.items():
+    for component in ATTRIBUTION_COMPONENTS:
+        histogram = LogHistogram()
+        histogram.record_many(columns[component])
         artifacts.add_histogram(f"attr.{component}", histogram)
     artifacts.attribution = result.attribution_summary(phi)
     artifacts.metrics = _finite_metrics(

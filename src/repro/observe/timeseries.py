@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.telemetry.export import open_text
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.metrics import MetricsRegistry, RegistrySnapshot
 
@@ -336,10 +337,10 @@ def write_timeseries_jsonl(
     """Write window snapshots one JSON object per line (full histogram
     bucket state, so readers can merge bit-identically).  ``append``
     lets a live exporter emit windows as they close and a
-    ``repro top --follow`` reader tail the file."""
+    ``repro top --follow`` reader tail the file.  A ``.gz`` path is
+    gzip-compressed; each append adds a gzip member."""
     path = Path(path)
-    mode = "a" if append else "w"
-    with path.open(mode) as handle:
+    with open_text(path, "a" if append else "w") as handle:
         for window in windows:
             handle.write(json.dumps(window.to_dict(), sort_keys=True) + "\n")
     return path
@@ -349,18 +350,12 @@ def read_timeseries_jsonl(path: str | Path) -> list[WindowSnapshot]:
     """Read a JSONL window stream written by
     :func:`write_timeseries_jsonl` (gzip-transparent: ``.gz`` paths
     decompress, matching the trace loaders)."""
-    path = Path(path)
-    if path.suffix == ".gz":
-        import gzip
-
-        text = gzip.decompress(path.read_bytes()).decode("utf-8")
-    else:
-        text = path.read_text()
     windows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            windows.append(WindowSnapshot.from_dict(json.loads(line)))
+    with open_text(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                windows.append(WindowSnapshot.from_dict(json.loads(line)))
     return windows
 
 

@@ -22,7 +22,7 @@ at construction, so its quantile views never see an empty sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.sim.request import SimRequest
 
 __all__ = [
     "ATTRIBUTION_COMPONENTS",
+    "attribution_columns",
     "RequestRecord",
     "ShedRecord",
     "MetricsCollector",
@@ -122,6 +123,25 @@ class RequestRecord:
             + self.boost_wait_ms
             + self.stall_ms
         )
+
+
+def attribution_columns(records: Sequence[RequestRecord]) -> dict[str, list[float]]:
+    """``latency_ms`` and every attribution component as one list per
+    field, in record order.
+
+    Each value is computed exactly as :attr:`RequestRecord.latency_ms`
+    and :meth:`RequestRecord.attribution` compute it, so a sum or a
+    histogram over these lists sees the same floats in the same order
+    as one fed record by record, without a dict per record.
+    """
+    return {
+        "latency_ms": [r.finish_ms - r.arrival_ms for r in records],
+        "queue_ms": [r.start_ms - r.arrival_ms for r in records],
+        "service_ms": [r.service_ms for r in records],
+        "contention_ms": [r.contention_ms for r in records],
+        "boost_wait_ms": [r.boost_wait_ms for r in records],
+        "stall_ms": [r.stall_ms for r in records],
+    }
 
 
 @dataclass(frozen=True)
@@ -308,11 +328,12 @@ class SimulationResult:
 
         def means(records: list[RequestRecord]) -> dict[str, float]:
             n = len(records)
+            columns = attribution_columns(records)
             out = {
-                name: float(np.sum([r.attribution()[name] for r in records]) / n)
+                name: float(np.sum(columns[name]) / n)
                 for name in ATTRIBUTION_COMPONENTS
             }
-            out["latency_ms"] = float(np.mean([r.latency_ms for r in records]))
+            out["latency_ms"] = float(np.mean(columns["latency_ms"]))
             return out
 
         return {"overall": means(self.records), "tail": means(self.tail_records(phi))}

@@ -8,20 +8,26 @@ Three consumers, three formats:
   become ``"i"`` events; timestamps are microseconds.  Within one
   (process, thread) lane events are emitted sorted by start time with
   longer spans first on ties, which is exactly the nesting order the
-  viewers expect.
+  viewers expect.  The event order is deterministic;
+  :func:`write_chrome_trace` writes the document as compact
+  single-line JSON (``python -m json.tool`` pretty-prints it).
 * :func:`write_spans_jsonl` / :func:`read_spans_jsonl` — one span per
   line, loss-free round-trip, for offline analysis (pandas, jq).
 * :func:`render_summary` — the plain-text dashboard: counters, gauges,
   histogram percentiles, and per-track span counts, in the same aligned
   style as the experiment tables.
+
+Every file writer and reader here goes through :func:`open_text`, so a
+``.gz`` suffix means gzip on both sides.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from repro.telemetry.spans import INSTANT, Span
 
@@ -29,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
 
 __all__ = [
+    "open_text",
     "to_chrome_trace",
     "write_chrome_trace",
     "span_to_dict",
@@ -38,6 +45,22 @@ __all__ = [
     "render_summary",
 ]
 
+#: Attr value types JSON holds as they are (floats only when finite).
+_JSON_SCALARS = frozenset({str, int, bool, float, type(None)})
+
+
+def open_text(path: str | Path, mode: str = "r") -> IO[str]:
+    """Open a trace or time-series file as UTF-8 text.
+
+    A ``.gz`` suffix means gzip, for writers and readers alike.
+    Appending to a ``.gz`` file adds a new gzip member, which
+    :func:`gzip.decompress` and :func:`gzip.open` read as one stream.
+    """
+    path = Path(path)
+    if path.suffix == ".gz":
+        return gzip.open(path, mode + "t", encoding="utf-8")
+    return path.open(mode, encoding="utf-8")
+
 
 def _jsonable(value: object) -> object:
     """Coerce attr values to something JSON can hold."""
@@ -46,6 +69,21 @@ def _jsonable(value: object) -> object:
     if isinstance(value, float):
         return value if math.isfinite(value) else repr(value)
     return str(value)
+
+
+def _json_args(attrs: dict) -> dict:
+    """A span's attrs as event args: a plain copy when every value is a
+    JSON scalar already (the common case), else coerced value by value.
+
+    ``value - value`` is 0.0 exactly for finite floats and NaN for NaN
+    and infinities.  Subclasses (``numpy.float64``, enums) take the
+    coercing path, so :func:`_jsonable` alone decides their form.
+    """
+    for value in attrs.values():
+        kind = type(value)
+        if kind not in _JSON_SCALARS or (kind is float and value - value != 0.0):
+            return {k: _jsonable(v) for k, v in attrs.items()}
+    return dict(attrs)
 
 
 # ----------------------------------------------------------------------
@@ -62,9 +100,10 @@ def to_chrome_trace(
     The document is fully deterministic: all metadata ("M") events come
     first — ``process_name`` per track in sorted-track order, then
     ``thread_name`` per (track, lane) in (track, lane) order — followed
-    by the span events in (pid, tid, start, -duration) order.  Stable
-    output diffs cleanly across runs and lets the analyzer rely on
-    metadata preceding the events it describes.
+    by the span events in (pid, tid, start, -duration) order, ties kept
+    in input order.  Identical runs therefore give identical documents,
+    and the analyzer can rely on metadata preceding the events it
+    describes.
     """
     pids = {track: pid for pid, track in enumerate(sorted({s.track for s in spans}), 1)}
     events: list[dict] = []
@@ -90,24 +129,30 @@ def to_chrome_trace(
             }
         )
     # Viewer-friendly order: per lane, by start time, longest first on
-    # ties — equal-start spans then nest outermost-first.
-    ordered = sorted(
-        (s for s in spans if not s.is_open),
-        key=lambda s: (pids[s.track], s.lane, s.start_ms, -s.duration_ms),
+    # ties — equal-start spans then nest outermost-first.  ``start - end``
+    # is exactly ``-duration_ms`` (subtraction rounds the same either way
+    # and negation is exact), and the trailing index keeps equal keys in
+    # input order as a stable sort would, so plain tuples sort without a
+    # key function.
+    order = sorted(
+        (pids[s.track], s.lane, s.start_ms, s.start_ms - s.end_ms, index)
+        for index, s in enumerate(spans)
+        if s.end_ms is not None
     )
-    for span in ordered:
+    for pid, lane, start_ms, _, index in order:
+        span = spans[index]
         event = {
             "name": span.name,
             "ph": "i" if span.kind == INSTANT else "X",
-            "pid": pids[span.track],
-            "tid": span.lane,
-            "ts": span.start_ms * 1000.0,  # trace_event wants microseconds
-            "args": {k: _jsonable(v) for k, v in span.attrs.items()},
+            "pid": pid,
+            "tid": lane,
+            "ts": start_ms * 1000.0,  # trace_event wants microseconds
+            "args": _json_args(span.attrs),
         }
         if span.kind == INSTANT:
             event["s"] = "t"  # instant scoped to its thread lane
         else:
-            event["dur"] = span.duration_ms * 1000.0
+            event["dur"] = (span.end_ms - start_ms) * 1000.0
         events.append(event)
     document = {"traceEvents": events, "displayTimeUnit": "ms"}
     if metrics is not None:
@@ -118,10 +163,16 @@ def to_chrome_trace(
 def write_chrome_trace(
     path: str | Path, telemetry: "Telemetry"
 ) -> Path:
-    """Write one telemetry pipeline's spans + metrics as a Chrome trace."""
+    """Write one telemetry pipeline's spans + metrics as a Chrome trace.
+
+    The file is compact single-line JSON: ``json`` uses its C encoder
+    only without ``indent``, and the pure-Python one costs several
+    times more on a long traced run.
+    """
     path = Path(path)
     document = to_chrome_trace(telemetry.tracer.spans, telemetry.metrics.as_dict())
-    path.write_text(json.dumps(document, indent=1))
+    with open_text(path, "w") as handle:
+        handle.write(json.dumps(document, separators=(",", ":")))
     return path
 
 
@@ -161,7 +212,7 @@ def span_from_dict(data: dict) -> Span:
 def write_spans_jsonl(path: str | Path, spans: Iterable[Span]) -> Path:
     """One span per line; streams without building the document."""
     path = Path(path)
-    with path.open("w") as handle:
+    with open_text(path, "w") as handle:
         for span in spans:
             handle.write(json.dumps(span_to_dict(span)))
             handle.write("\n")
@@ -171,7 +222,7 @@ def write_spans_jsonl(path: str | Path, spans: Iterable[Span]) -> Path:
 def read_spans_jsonl(path: str | Path) -> list[Span]:
     """Load spans written by :func:`write_spans_jsonl`."""
     spans: list[Span] = []
-    with Path(path).open() as handle:
+    with open_text(path) as handle:
         for line in handle:
             line = line.strip()
             if line:

@@ -86,6 +86,14 @@ class TestMain:
         assert main(["fig5", "--scale", "tiny", "--trace", str(trace_path)]) == 0
         json.loads(trace_path.read_text())  # valid JSON even if few spans
 
+    def test_gz_trace_is_compressed_and_analyzable(self, tmp_path, capsys):
+        trace_path = tmp_path / "run.json.gz"
+        assert main(["telemetry", "--scale", "tiny", "--trace", str(trace_path)]) == 0
+        assert trace_path.read_bytes()[:2] == b"\x1f\x8b"  # gzip magic
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path)]) == 0
+        assert "sim" in capsys.readouterr().out
+
 
 class TestDiffPlane:
     """The `repro diff` dispatch and the `--ledger` flag (DESIGN.md §15)."""

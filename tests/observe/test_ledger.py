@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -18,8 +19,11 @@ from repro.experiments.runner import run_policy, stream_policy
 from repro.experiments.tables import lucene_table
 from repro.observe.ledger import (
     QUANTILE_GRID,
+    RunArtifacts,
     RunEntry,
     RunLedger,
+    _card,
+    _finite_metrics,
     config_fingerprint,
     entry_from_result,
     entry_from_summary,
@@ -27,8 +31,15 @@ from repro.observe.ledger import (
 )
 from repro.experiments.config import TINY as TEST_SCALE
 from repro.schedulers import FMScheduler
+from repro.sim.engine import simulate
 from repro.sim.metrics import ATTRIBUTION_COMPONENTS
+from repro.telemetry.histogram import LogHistogram
 from repro.workloads import lucene as lucene_mod
+from tests.observe.test_attribution_property import (
+    _arrivals,
+    _fault_plan,
+    _fm_scheduler,
+)
 
 
 def _run(seed: int = 321):
@@ -128,6 +139,91 @@ class TestEntryFromResult:
                 == entry.artifacts.histogram(name).state()
             )
         assert clone.card == entry.card
+
+
+def _reference_attribution_summary(result, phi):
+    """``attribution_summary`` as first written: one ``attribution()``
+    dict per record and component."""
+
+    def means(records):
+        n = len(records)
+        out = {
+            name: float(np.sum([r.attribution()[name] for r in records]) / n)
+            for name in ATTRIBUTION_COMPONENTS
+        }
+        out["latency_ms"] = float(np.mean([r.latency_ms for r in records]))
+        return out
+
+    return {"overall": means(result.records), "tail": means(result.tail_records(phi))}
+
+
+def _reference_entry(name, result, *, config, seed, scheduler, phi=0.99):
+    """``entry_from_result`` as first written: histograms fed record by
+    record from ``latency_ms`` and ``attribution()``."""
+    artifacts = RunArtifacts()
+    latency = LogHistogram()
+    components = {c: LogHistogram() for c in ATTRIBUTION_COMPONENTS}
+    for record in result.records:
+        latency.record(record.latency_ms)
+        attribution = record.attribution()
+        for component, histogram in components.items():
+            histogram.record(attribution[component])
+    artifacts.add_histogram("latency_ms", latency)
+    for component, histogram in components.items():
+        artifacts.add_histogram(f"attr.{component}", histogram)
+    artifacts.attribution = _reference_attribution_summary(result, phi)
+    artifacts.metrics = _finite_metrics(
+        {
+            "count": len(result.records),
+            "shed_count": result.shed_count,
+            "duration_ms": result.duration_ms,
+            "cpu_utilization": result.cpu_utilization(),
+            "average_threads": result.average_threads(),
+            "joules_per_query": result.joules_per_query(),
+            **{
+                f"p{q * 100:g}_ms".replace(".", "_"): latency.percentile(q)
+                for q in QUANTILE_GRID
+            },
+        }
+    )
+    if result.energy is not None:
+        artifacts.energy = result.energy.as_dict()
+    return RunEntry(
+        card=_card(name, config, seed, scheduler, None, "", False),
+        artifacts=artifacts,
+    )
+
+
+class TestMatchesPerRecordReference:
+    """Summaries built from field lists equal the per-record builders,
+    float for float, on a run where every component accrues."""
+
+    @pytest.fixture(scope="class")
+    def faulted_run(self):
+        result = simulate(
+            _arrivals(400, rps=45.0, seed=3),
+            _fm_scheduler(),
+            cores=4,
+            fault_plan=_fault_plan(),
+        )
+        for name in ATTRIBUTION_COMPONENTS:
+            assert any(r.attribution()[name] > 0.0 for r in result.records), name
+        return result
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9, 0.99, 0.999])
+    def test_attribution_summary(self, faulted_run, phi):
+        assert faulted_run.attribution_summary(phi) == (
+            _reference_attribution_summary(faulted_run, phi)
+        )
+
+    @pytest.mark.parametrize("phi", [0.9, 0.99])
+    def test_entry_serializes_byte_identically(self, faulted_run, phi):
+        kwargs = dict(config={"policy": "FM", "faults": True}, seed=3, scheduler="FM")
+        entry = entry_from_result("fm:faults", faulted_run, phi=phi, **kwargs)
+        reference = _reference_entry("fm:faults", faulted_run, phi=phi, **kwargs)
+        assert json.dumps(entry.to_dict(), sort_keys=True) == json.dumps(
+            reference.to_dict(), sort_keys=True
+        )
 
 
 class TestEntryFromSummary:

@@ -200,6 +200,19 @@ class TestJsonl:
             w.state() for w in windows
         ]
 
+    def test_gzip_write_round_trip_with_append(self, tmp_path):
+        import gzip
+
+        windows = [WindowSnapshot.from_dict(d) for d in _shard_stream(0)]
+        path = tmp_path / "ts.jsonl.gz"
+        write_timeseries_jsonl(path, windows[:2])
+        write_timeseries_jsonl(path, windows[2:], append=True)
+        lines = gzip.decompress(path.read_bytes()).decode("utf-8").splitlines()
+        assert len(lines) == len(windows)
+        assert [w.state() for w in read_timeseries_jsonl(path)] == [
+            w.state() for w in windows
+        ]
+
 
 class TestTailer:
     """Incremental tailing: a live writer may leave torn last lines."""
