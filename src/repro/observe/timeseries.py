@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -370,6 +371,12 @@ class TimeseriesTailer:
     writer's flush completes it.  Each poll reads only the bytes
     appended since the last one; a file that shrank (truncated or
     rotated) resets the tailer and re-reads from the start.
+
+    A ``.gz`` stream is one gzip member per append
+    (:func:`write_timeseries_jsonl`), so the appended bytes are fed to
+    an incremental decompressor that starts afresh at each member end.
+    A member the writer has only half written yields what it can and
+    keeps the rest buffered until the next poll completes it.
     """
 
     def __init__(self, path: str | Path):
@@ -377,6 +384,8 @@ class TimeseriesTailer:
         self.windows: list[WindowSnapshot] = []
         self._offset = 0
         self._fragment = b""
+        self._gzip = self.path.suffix == ".gz"
+        self._inflater = zlib.decompressobj(wbits=31)
 
     def poll(self) -> list[WindowSnapshot]:
         """Consume newly completed records; returns just the fresh ones
@@ -388,10 +397,13 @@ class TimeseriesTailer:
             if handle.tell() < self._offset:
                 self._offset = 0
                 self._fragment = b""
+                self._inflater = zlib.decompressobj(wbits=31)
                 self.windows = []
             handle.seek(self._offset)
             chunk = handle.read()
             self._offset = handle.tell()
+        if self._gzip:
+            chunk = self._inflate(chunk)
         lines = (self._fragment + chunk).split(b"\n")
         self._fragment = lines.pop()
         fresh = []
@@ -401,3 +413,14 @@ class TimeseriesTailer:
                 fresh.append(WindowSnapshot.from_dict(json.loads(line)))
         self.windows.extend(fresh)
         return fresh
+
+    def _inflate(self, data: bytes) -> bytes:
+        """Decompress appended gzip bytes, member after member."""
+        out = []
+        while data:
+            out.append(self._inflater.decompress(data))
+            if not self._inflater.eof:
+                break  # a half-written member: wait for the rest
+            data = self._inflater.unused_data
+            self._inflater = zlib.decompressobj(wbits=31)
+        return b"".join(out)

@@ -8,7 +8,7 @@ Two modes:
   and events — exactly what an operator would have seen live.  The
   attribution totals line matches ``repro analyze`` on the same trace
   to float residue (a tested contract).
-* ``repro top --follow timeseries.jsonl`` tails a window stream a
+* ``repro top --follow timeseries.jsonl[.gz]`` tails a window stream a
   running :class:`~repro.runtime.server.LiveFMServer` (or traced
   simulation) exports via
   :func:`repro.observe.timeseries.write_timeseries_jsonl`, re-rendering
@@ -29,11 +29,7 @@ import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.observe.timeseries import (
-    TimeseriesTailer,
-    WindowSnapshot,
-    read_timeseries_jsonl,
-)
+from repro.observe.timeseries import TimeseriesTailer, WindowSnapshot
 
 __all__ = ["build_parser", "main"]
 
@@ -58,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--follow",
         metavar="TS.jsonl",
         default=None,
-        help="tail a window-snapshot JSONL stream as it grows",
+        help="tail a window-snapshot JSONL stream as it grows (.gz ok)",
     )
     parser.add_argument(
         "--window",
@@ -163,16 +159,12 @@ def _follow(args: argparse.Namespace) -> int:
     path = Path(args.follow)
     frames = 0
     seen = -1
-    # Plain JSONL is tailed incrementally (torn last lines buffered
-    # until the writer terminates them); gzip streams aren't seekable
-    # mid-write, so .gz falls back to a full re-read per poll.
-    tailer = TimeseriesTailer(path) if path.suffix != ".gz" else None
+    # Tailed incrementally, plain or .gz: torn last lines and
+    # half-written gzip members wait until the writer completes them.
+    tailer = TimeseriesTailer(path)
     while True:
-        if tailer is not None:
-            tailer.poll()
-            windows = tailer.windows
-        else:
-            windows = read_timeseries_jsonl(path) if path.exists() else []
+        tailer.poll()
+        windows = tailer.windows
         if args.json:
             fresh = [w.to_dict() for w in windows if w.index > seen]
             if fresh:

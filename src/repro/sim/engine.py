@@ -29,34 +29,48 @@ incrementally-maintained sums would drift from the reference.
 
 Kernel choice by running-set size (DESIGN.md §14): the commit and the
 rate refresh each exist twice, as the per-request loops above and as
-numpy *batch kernels* over a slot table (one column per hot request
-field).  Per event, the loops cost O(n) Python work and the batch
-kernels a near-fixed ~75-170 µs of array calls, so the engine picks by
-``n`` as it changes.  Measured on the overloaded Bing FIX-4 cell's
-arrivals (8 cores, 900 RPS, 3000 requests; 2 vCPU, best of 3 runs),
+numpy *batch kernels* over a slot table.  Per event, the loops cost O(n)
+Python work and the batch kernels a near-fixed ~40-80 µs of array
+calls, so the engine picks by ``n`` as it changes.  Measured on the
+overloaded Bing FIX-4 cell's arrivals (8 cores, 900 RPS, 3000 requests;
+2 vCPU; best of 9 runs for the kernels, 18 for the loops, taken together),
 µs per event for commit + recompute:
 
 ==================  ====  =====  =====  ======  =======  =======  ========
 running set n       1-31  32-63  64-95  96-127  128-255  256-511  512-1023
 ==================  ====  =====  =====  ======  =======  =======  ========
-loop, attr on       18    41     57     78      171      350      759
-batch, attr on      111   109    97     100     114      135      169
-loop, attr off      21    41     62     87      152      309      725
-batch, attr off     82    82     76     77      94       113      150
+loop, attr on       16    34     59     75      134      263      565
+batch, attr on      45    42     43     44      48       55       67
+loop, attr off      18    32     55     74      135      251      466
+batch, attr off     51    50     51     53      55       65       79
 ==================  ====  =====  =====  ======  =======  =======  ========
 
-Below n = 64 the loops are 2-6x faster; from n = 128 the batch kernels
-win, by more as n grows.  A start that brings the running set to
-:data:`BATCH_ENTRY` moves it into the slot table; the completions that
-drain it below :data:`BATCH_EXIT` store the slots back onto the request
-objects and return to the loops.  In the 64-127 band between the two
-sizes the kernels are within 1.7x of each other, and the gap keeps a
-running set that hovers near one size from copying itself on every
-start and exit.  Each switch is bit-identical: slot order is
-running-set order and the order-sensitive sums are left-to-right
-``np.cumsum``, so no simulated float changes, only wall time.  Runs
-with a :class:`~repro.hetero.pools.Topology` stay on the per-pool
-loops, because the slot table has no pool column.
+Below n = 64 the loops are 1.2-3x faster; from n = 64 the batch
+kernels win (narrowly in 64-95 without attribution), by more as n
+grows.  A start that brings the running set to :data:`BATCH_ENTRY`
+moves it into the slot table; the completions that drain it below
+:data:`BATCH_EXIT` store the slots back onto the request objects and
+return to the loops.  The
+crossover thus lies at the low end of the 64-127 band between the two
+sizes, and the band keeps a running set that hovers near one size from
+copying itself on every start and exit.  Each switch is bit-identical:
+slot order is running-set order and the order-sensitive sums are
+left-to-right ``np.cumsum``, so no simulated float changes, only wall
+time.  Runs with a :class:`~repro.hetero.pools.Topology` stay on the
+per-pool loops, because the slot table has no pool row.
+
+The slot table is two 2-D arrays with one lane per slot: a float64 block
+with a row per hot request field plus a *ones* row (1.0 on active
+lanes), and a bool block (active, boosted, boost pending, *unboosted* =
+active and not boosted).  Free lanes are exactly +0.0 and False, so a
+row masked to the active lanes equals the row itself and the kernels
+mask only where a mask changes a value: with no lane boosted the
+recompute sums the unmasked demand row and scales three rows by one
+scalar factor.  The commit updates ``rem`` in place and clamps behind
+one ``rem.min() < 0.0`` guard; the loop's ``<= 0.0`` clamp changes
+nothing more, as ``rem`` never holds -0.0.  The next completion is
+``now + min(rem / rate)``, equal to the loop's ``min(now + rem / rate)``
+because rounded addition is monotone.
 """
 
 from __future__ import annotations
@@ -101,27 +115,13 @@ _INF = float("inf")
 BATCH_ENTRY = 128
 BATCH_EXIT = 64
 
-#: Slot-table columns holding float64 per-request state (zero on free
-#: lanes, so left-to-right sums over a column see exact ``+ 0.0``).
-_FLOAT_COLS = (
-    "_rem",  # remaining_work
-    "_rate",
-    "_dspeed",  # degree_speedup
-    "_ddemand",  # degree_demand (occupancy)
-    "_sfactor",  # share_factor
-    "_score",  # share_cores
-    "_degf",  # float(degree)
-    "_eff",  # effective_ms
-    "_tthread",  # thread_time_ms
-    "_tcore",  # core_time_ms
-    "_a_serv",
-    "_a_cont",
-    "_a_bwait",
-    "_a_stall",
-    "_stall_until",
-    "_resid",  # degree_residency[degree] for the current degree
-)
-_BOOL_COLS = ("_act", "_boosted_col", "_bpending_col")
+#: Slot-table rows (module docstring), in ``_load_slot`` order: remaining
+#: work, rate, degree speedup and demand, share factor and cores,
+#: float(degree), effective/thread/core time, the four attribution
+#: components, stall end, the current degree's residency, ones.
+(_REM, _RATE, _DSPEED, _DDEMAND, _SFACTOR, _SCORE, _DEGF, _EFF, _TTHREAD, _TCORE,
+ _A_SERV, _A_CONT, _A_BWAIT, _A_STALL, _STALL_UNTIL, _RESID, _ONES) = range(17)
+_ACT, _BOOSTED, _BPENDING, _UNBOOSTED = range(4)  # rows of the flag block
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ class Engine:
             self._recompute_rates = (  # type: ignore[method-assign]
                 self._recompute_rates_hetero
             )
-            # The slot table has no pool column: stay on the per-pool loops.
+            # The slot table has no pool row: stay on the per-pool loops.
             self._batch_entry = _INF
 
     # ------------------------------------------------------------------
@@ -1018,17 +1018,20 @@ class Engine:
     # ------------------------------------------------------------------
     # Batch kernels over the slot table (DESIGN.md §14).  While
     # ``_batch`` is set, _commit/_recompute_rates are rebound to the
-    # column kernels below and the columns, not the request objects,
-    # hold the hot state.  Objects are brought up to date (_store_slot)
+    # row kernels below and the table, not the request objects, holds
+    # the hot state.  Objects are brought up to date (_store_slot)
     # before every scheduler hook that reads one, at completion, on a
-    # stall fault and at mode exit; columns are reloaded (_load_slot)
-    # wherever a hook or a fault changed the object.
+    # stall fault and at mode exit; slots are reloaded (_load_slot)
+    # wherever a hook or a fault changed the object.  Bookkeeping moves
+    # whole lanes; arithmetic stays on single rows ``tab[ROW, :n]``,
+    # which are contiguous (multi-row slices are strided, and slower).
     #
     # Bit identity with the loops: slots append in start order and
     # compaction keeps their order, so active slots in index order are
     # the ``_running`` dict's order; order-sensitive sums use
     # ``np.cumsum(...)[-1]`` (left to right, unlike pairwise ``sum``);
-    # elementwise ops are the loops' expressions one for one.
+    # elementwise ops are the loops' expressions one for one, and free
+    # lanes stay exactly +0.0 / False so that unmasked rows are exact.
     # ------------------------------------------------------------------
     def _enter_batch(self) -> None:
         """Move the running set into a fresh slot table and switch to
@@ -1036,10 +1039,8 @@ class Engine:
         capacity = 256
         while capacity < 2 * len(self._running):
             capacity *= 2
-        for name in _FLOAT_COLS:
-            setattr(self, name, np.zeros(capacity))
-        for name in _BOOL_COLS:
-            setattr(self, name, np.zeros(capacity, dtype=bool))
+        self._tab = np.zeros((_ONES + 1, capacity))
+        self._flags = np.zeros((_UNBOOSTED + 1, capacity), dtype=bool)
         self._slot_req: list[SimRequest | None] = [None] * capacity
         self._slot_of: dict[int, int] = {}
         self._n_slots = 0  # append high-water mark (active slots + holes)
@@ -1062,31 +1063,27 @@ class Engine:
         self._slot_of = {}
 
     def _grow(self) -> None:
-        capacity = len(self._act)
-        for name in _FLOAT_COLS + _BOOL_COLS:
-            old = getattr(self, name)
-            new = np.zeros(2 * capacity, dtype=old.dtype)
-            new[:capacity] = old
-            setattr(self, name, new)
+        capacity = self._tab.shape[1]
+        self._tab = np.pad(self._tab, ((0, 0), (0, capacity)))
+        self._flags = np.pad(self._flags, ((0, 0), (0, capacity)))
         self._slot_req.extend([None] * capacity)
 
     def _compact(self) -> None:
         """Squeeze out the holes, preserving slot order (and with it the
         equality with the ``_running`` dict's order)."""
         n = self._n_slots
-        keep = np.nonzero(self._act[:n])[0]
+        keep = np.flatnonzero(self._flags[_ACT, :n])
         k = len(keep)
-        for name in _FLOAT_COLS + _BOOL_COLS:
-            col = getattr(self, name)
-            col[:k] = col[keep]
-            col[k:n] = 0
+        for table in (self._tab, self._flags):
+            table[:, :k] = table[:, keep]
+            table[:, k:n] = 0
         kept = [self._slot_req[i] for i in keep]
         self._slot_req[:n] = kept + [None] * (n - k)
         self._slot_of = {request.rid: i for i, request in enumerate(kept)}
         self._n_slots = k
 
     def _add_slot(self, request: SimRequest) -> None:
-        if self._n_slots == len(self._act):
+        if self._n_slots == self._tab.shape[1]:
             if self._n_slots >= 64 and self._n_active * 2 < self._n_slots:
                 self._compact()
             else:
@@ -1096,61 +1093,45 @@ class Engine:
         self._n_active += 1
         self._slot_of[request.rid] = slot
         self._slot_req[slot] = request
-        self._act[slot] = True
         self._load_slot(slot, request)
 
     def _remove_slot(self, rid: int) -> None:
         slot = self._slot_of.pop(rid)
         self._slot_req[slot] = None
-        for name in _FLOAT_COLS + _BOOL_COLS:
-            getattr(self, name)[slot] = 0
+        self._tab[:, slot] = 0.0
+        self._flags[:, slot] = False
         self._n_active -= 1
         if self._n_slots >= 64 and self._n_active * 2 < self._n_slots:
             self._compact()
 
     def _load_slot(self, slot: int, request: SimRequest) -> None:
-        """Copy a request's state into its slot."""
-        self._rem[slot] = request.remaining_work
-        self._rate[slot] = request.rate
-        self._dspeed[slot] = request.degree_speedup
-        self._ddemand[slot] = request.degree_demand
-        self._sfactor[slot] = request.share_factor
-        self._score[slot] = request.share_cores
-        self._degf[slot] = request.degree
-        self._eff[slot] = request.effective_ms
-        self._tthread[slot] = request.thread_time_ms
-        self._tcore[slot] = request.core_time_ms
-        self._a_serv[slot] = request.attr_service_ms
-        self._a_cont[slot] = request.attr_contention_ms
-        self._a_bwait[slot] = request.attr_boost_wait_ms
-        self._a_stall[slot] = request.attr_stall_ms
-        self._stall_until[slot] = request.stalled_until_ms
-        self._resid[slot] = request.degree_residency.get(request.degree, 0.0)
-        self._boosted_col[slot] = request.boosted
-        self._bpending_col[slot] = request.boost_pending
+        """Copy a request's state into its lane (values in row order)."""
+        r = request
+        self._tab[:, slot] = (
+            r.remaining_work, r.rate, r.degree_speedup, r.degree_demand,
+            r.share_factor, r.share_cores, r.degree, r.effective_ms,
+            r.thread_time_ms, r.core_time_ms, r.attr_service_ms,
+            r.attr_contention_ms, r.attr_boost_wait_ms, r.attr_stall_ms,
+            r.stalled_until_ms, r.degree_residency.get(r.degree, 0.0), 1.0,
+        )
+        self._flags[:, slot] = (True, r.boosted, r.boost_pending, not r.boosted)
 
     def _store_slot(self, slot: int, request: SimRequest) -> None:
-        """Copy a slot's accumulated state back onto its request."""
-        request.remaining_work = float(self._rem[slot])
-        request.rate = float(self._rate[slot])
-        request.share_factor = float(self._sfactor[slot])
-        request.share_cores = float(self._score[slot])
-        request.effective_ms = float(self._eff[slot])
-        request.thread_time_ms = float(self._tthread[slot])
-        request.core_time_ms = float(self._tcore[slot])
-        request.attr_service_ms = float(self._a_serv[slot])
-        request.attr_contention_ms = float(self._a_cont[slot])
-        request.attr_boost_wait_ms = float(self._a_bwait[slot])
-        request.attr_stall_ms = float(self._a_stall[slot])
-        residency = float(self._resid[slot])
+        """Copy a lane's accumulated state back onto its request."""
+        r = request
+        (
+            r.remaining_work, r.rate, _, _, r.share_factor, r.share_cores, _,
+            r.effective_ms, r.thread_time_ms, r.core_time_ms, r.attr_service_ms,
+            r.attr_contention_ms, r.attr_boost_wait_ms, r.attr_stall_ms, _,
+            residency, _,
+        ) = self._tab[:, slot].tolist()
         # The loop creates the entry on the degree's first dt > 0, so
-        # a zero column means "no entry yet", never "entry of 0.0".
+        # a zero lane means "no entry yet", never "entry of 0.0".
         if residency > 0.0:
-            request.degree_residency[request.degree] = residency
+            r.degree_residency[r.degree] = residency
 
     def _store_slots(self) -> None:
-        n = self._n_slots
-        for slot in np.nonzero(self._act[:n])[0]:
+        for slot in np.flatnonzero(self._flags[_ACT, : self._n_slots]):
             self._store_slot(slot, self._slot_req[slot])
 
     def _take_finished_slots(self) -> list[SimRequest]:
@@ -1158,7 +1139,8 @@ class Engine:
         onto its object and its slot freed."""
         n = self._n_slots
         finished = []
-        for slot in np.nonzero(self._act[:n] & (self._rem[:n] <= 1e-9))[0]:
+        done = self._flags[_ACT, :n] & (self._tab[_REM, :n] <= 1e-9)
+        for slot in np.flatnonzero(done):
             request = self._slot_req[slot]
             self._store_slot(slot, request)
             finished.append(request)
@@ -1167,53 +1149,61 @@ class Engine:
         return finished
 
     def _commit_batch(self, t: float) -> None:
-        """:meth:`_commit` as column arithmetic over the slot table."""
+        """:meth:`_commit` as row arithmetic over the slot table."""
         dt = t - self.now_ms
         if dt > 0:
             n = self._n_slots
             busy_cores = 0.0
             total_threads = 0
             if n:
-                now = self.now_ms
-                active = self._act[:n]
-                useful = self._sfactor[:n] * dt  # zero on free lanes
+                tab = self._tab
+                flags = self._flags
+                lanes_dt = tab[_ONES, :n] * dt  # dt on active lanes, +0.0 on free
+                useful = tab[_SFACTOR, :n] * dt
+                stalled = None
                 if self.fault_plan is not None:
-                    stalled = active & (now < self._stall_until[:n] - 1e-9)
-                    not_stalled = active & ~stalled
-                else:
-                    stalled = None
-                    not_stalled = active
+                    stalled = flags[_ACT, :n] & (
+                        self.now_ms < tab[_STALL_UNTIL, :n] - 1e-9
+                    )
                 if self.attribution:
+                    # As the loop: stalled lanes charge dt to stall, the
+                    # others useful to service and dt - useful to boost
+                    # wait or contention; free lanes add +0.0 everywhere.
+                    slowdown = lanes_dt - useful
+                    served = useful
+                    waiting = flags[_BPENDING, :n] & flags[_UNBOOSTED, :n]
                     if stalled is not None:
-                        self._a_stall[:n] += np.where(stalled, dt, 0.0)
-                    self._a_serv[:n] += np.where(not_stalled, useful, 0.0)
-                    slowdown = dt - useful
-                    boost_wait = (
-                        not_stalled & self._bpending_col[:n] & ~self._boosted_col[:n]
-                    )
-                    self._a_bwait[:n] += np.where(boost_wait, slowdown, 0.0)
-                    self._a_cont[:n] += np.where(
-                        not_stalled & ~boost_wait, slowdown, 0.0
-                    )
-                self._eff[:n] += useful  # accrues while stalled, as the loop does
-                rem = self._rem[:n]
-                remaining = rem - self._rate[:n] * dt
-                overshoot = active & (remaining < -1e-6)
-                if overshoot.any():
-                    slot = int(np.argmax(overshoot))
-                    raise SimulationError(
-                        f"request {self._slot_req[slot].rid}: "
-                        f"overshoot {remaining[slot]}"
-                    )
-                remaining[remaining <= 0.0] = 0.0
-                rem[:] = remaining
-                degf = self._degf[:n]
-                self._tthread[:n] += degf * dt
-                score = self._score[:n]
-                self._tcore[:n] += score * dt
-                resid = self._resid[:n]
-                np.add(resid, dt, out=resid, where=active)
-                busy_cores = float(np.cumsum(score)[-1])
+                        tab[_A_STALL, :n] += np.where(stalled, dt, 0.0)
+                        served = np.where(stalled, 0.0, useful)
+                        slowdown[stalled] = 0.0
+                        waiting &= ~stalled
+                    tab[_A_SERV, :n] += served
+                    if waiting.any():
+                        tab[_A_BWAIT, :n] += np.where(waiting, slowdown, 0.0)
+                        slowdown[waiting] = 0.0
+                    tab[_A_CONT, :n] += slowdown
+                tab[_EFF, :n] += useful  # accrues while stalled, as the loop does
+                # In place: the loop's ``remaining <= 0.0`` clamp can
+                # only change negatives here, because a difference is
+                # -0.0 only as -0.0 - (+0.0) and rem never holds -0.0
+                # (free lanes give 0.0 - 0.0 = +0.0).
+                rem = tab[_REM, :n]
+                rem -= tab[_RATE, :n] * dt
+                if rem.min() < 0.0:
+                    overshoot = np.flatnonzero(rem < -1e-6)
+                    if len(overshoot):
+                        slot = overshoot[0]
+                        raise SimulationError(
+                            f"request {self._slot_req[slot].rid}: "
+                            f"overshoot {rem[slot]}"
+                        )
+                    rem[rem < 0.0] = 0.0
+                degf = tab[_DEGF, :n]
+                tab[_TTHREAD, :n] += degf * dt
+                score = tab[_SCORE, :n]
+                tab[_TCORE, :n] += score * dt
+                tab[_RESID, :n] += lanes_dt
+                busy_cores = float(score.cumsum()[-1])
                 total_threads = int(degf.sum())  # small integers: exact
             in_system = (
                 len(self._running) + len(self._delayed) + len(self._waiting_fifo)
@@ -1222,18 +1212,24 @@ class Engine:
         self.now_ms = t
 
     def _recompute_rates_batch(self) -> None:
-        """:meth:`_recompute_rates` as column arithmetic over the slot
+        """:meth:`_recompute_rates` as row arithmetic over the slot
         table."""
         self._rates_dirty = False
         self._generation += 1
         if self._n_active == 0:
             return  # as the loop: zero sums, no completion event
         n = self._n_slots
-        active = self._act[:n]
-        boosted = self._boosted_col[:n]
-        demand = self._ddemand[:n]
-        boosted_demand = float(np.cumsum(np.where(boosted, demand, 0.0))[-1])
-        unboosted_demand = float(np.cumsum(np.where(active & ~boosted, demand, 0.0))[-1])
+        tab = self._tab
+        boosted = self._flags[_BOOSTED, :n]
+        demand = tab[_DDEMAND, :n]
+        any_boosted = boosted.any()
+        if any_boosted:
+            boosted_demand = float(np.where(boosted, demand, 0.0).cumsum()[-1])
+            unboosted = self._flags[_UNBOOSTED, :n]
+            unboosted_demand = float(np.where(unboosted, demand, 0.0).cumsum()[-1])
+        else:  # every active lane is unboosted, and free lanes add +0.0
+            boosted_demand = 0.0
+            unboosted_demand = float(demand.cumsum()[-1])
 
         cores = self._cores_online
         boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
@@ -1243,21 +1239,24 @@ class Engine:
         else:
             unboosted_factor = 1.0
 
-        factor = np.where(boosted, boosted_factor, unboosted_factor)
-        factor[~active] = 0.0  # free lanes stay zero
-        rate = self._dspeed[:n] * factor
+        # Factors are finite and >= 0, so a free lane's 0.0 * factor is
+        # +0.0 and only share_factor needs the ones row to stay zero.
+        factor = unboosted_factor
+        if any_boosted:
+            factor = np.where(boosted, boosted_factor, unboosted_factor)
+        np.multiply(tab[_ONES, :n], factor, out=tab[_SFACTOR, :n])
+        np.multiply(demand, factor, out=tab[_SCORE, :n])
+        rate = np.multiply(tab[_DSPEED, :n], factor, out=tab[_RATE, :n])
         now = self.now_ms
         if self.fault_plan is not None:
-            rate[active & (now < self._stall_until[:n] - 1e-9)] = 0.0
-        self._sfactor[:n] = factor
-        self._score[:n] = demand * factor
-        self._rate[:n] = rate
+            rate[self._flags[_ACT, :n] & (now < tab[_STALL_UNTIL, :n] - 1e-9)] = 0.0
 
+        # min(now + x) == now + min(x): rounded addition is monotone.
         positive = rate > 0.0
         if positive.any():
-            etas = now + self._rem[:n][positive] / rate[positive]
+            soonest = float((tab[_REM, :n][positive] / rate[positive]).min())
             self._queue.push(
-                max(float(etas.min()), now),
+                max(now + soonest, now),
                 Event(EventKind.COMPLETION, generation=self._generation),
             )
 

@@ -2,11 +2,11 @@
 
 :class:`~repro.sim.engine.Engine` already runs the two O(running set)
 per-event loops — the commit that advances every running request and
-the rate recompute that re-shares the cores — as numpy column kernels
-once the running set reaches :data:`~repro.sim.engine.BATCH_ENTRY`
-requests, and returns to the loops below
-:data:`~repro.sim.engine.BATCH_EXIT`.  The crossover table behind those
-sizes is in the :mod:`repro.sim.engine` docstring.
+the rate recompute that re-shares the cores — as numpy batch kernels
+over a slot table once the running set reaches
+:data:`~repro.sim.engine.BATCH_ENTRY` requests, and returns to the
+loops below :data:`~repro.sim.engine.BATCH_EXIT`.  The crossover table
+behind those sizes is in the :mod:`repro.sim.engine` docstring.
 
 :class:`VectorEngine` is that engine with the batch kernels on from the
 first request and never off.  It exists for attestation, not speed:
@@ -18,12 +18,12 @@ vectorized=True)`` and its siblings select it.
 The equality is exact by construction (slot order is running-set order,
 order-sensitive sums are left-to-right ``np.cumsum``, elementwise ops
 mirror the loops), and that covers per-request ``degree_residency``
-too: a per-slot column holds the current degree's running sum, seeded
-from the request's dict and written back on a degree change, at finish
-and at mode exit.
+too: a request's lane of the residency row holds the current degree's
+running sum, seeded from the request's dict and written back on a
+degree change, at finish and at mode exit.
 
-Heterogeneous topologies are rejected: the slot table has no pool
-column, so they run on the engine's per-pool loops.
+Heterogeneous topologies are rejected: the slot table has no pool row,
+so they run on the engine's per-pool loops.
 """
 
 from __future__ import annotations

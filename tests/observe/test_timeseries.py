@@ -264,6 +264,56 @@ class TestTailer:
             handle.write("\n")
         assert [w.index for w in tailer.poll()] == [windows[1].index]
 
+    def _half_written_gzip(self, tmp_path):
+        """Two gzip members (windows 0-1, then 2-3) with the second
+        member cut in half, as a poll mid-append sees it."""
+        windows = [WindowSnapshot.from_dict(d) for d in _shard_stream(0)]
+        path = tmp_path / "ts.jsonl.gz"
+        write_timeseries_jsonl(path, windows[:2])
+        first_member = path.stat().st_size
+        write_timeseries_jsonl(path, windows[2:], append=True)
+        data = path.read_bytes()
+        cut = first_member + (len(data) - first_member) // 2
+        path.write_bytes(data[:cut])
+        return windows, path, data[cut:]
+
+    def test_half_written_gzip_member_waits_for_the_rest(self, tmp_path):
+        windows, path, rest = self._half_written_gzip(tmp_path)
+        tailer = TimeseriesTailer(path)
+        first = [w.index for w in tailer.poll()]
+        assert first[:2] == [0, 1]
+        with path.open("ab") as handle:
+            handle.write(rest)
+        second = [w.index for w in tailer.poll()]
+        assert first + second == [w.index for w in windows]
+        assert [w.state() for w in tailer.windows] == [
+            w.state() for w in windows
+        ]
+
+    def test_gzip_stream_tailed_a_few_bytes_at_a_time(self, tmp_path):
+        """Polls that land anywhere in a member, header included, yield
+        every window exactly once and in order."""
+        windows = [WindowSnapshot.from_dict(d) for d in _shard_stream(1)]
+        source = tmp_path / "source.jsonl.gz"
+        for i, window in enumerate(windows):
+            write_timeseries_jsonl(source, [window], append=i > 0)
+        data = source.read_bytes()
+        path = tmp_path / "ts.jsonl.gz"
+        tailer = TimeseriesTailer(path)
+        seen = []
+        for end in range(0, len(data) + 7, 7):
+            path.write_bytes(data[:end])
+            seen.extend(w.state() for w in tailer.poll())
+        assert seen == [w.state() for w in windows]
+
+    def test_gzip_truncation_resets(self, tmp_path):
+        windows, path, _ = self._half_written_gzip(tmp_path)
+        tailer = TimeseriesTailer(path)
+        tailer.poll()
+        write_timeseries_jsonl(path, windows[:1])
+        assert [w.index for w in tailer.poll()] == [windows[0].index]
+        assert len(tailer.windows) == 1
+
     def test_truncation_resets(self, tmp_path):
         windows = [WindowSnapshot.from_dict(d) for d in _shard_stream(0)]
         path = tmp_path / "ts.jsonl"

@@ -145,6 +145,30 @@ class TestFollowMode:
         assert [w["index"] for w in json.loads(lines[0])] == [0, 1, 2]
 
 
+    def test_half_written_gzip_member_does_not_crash_follow(self, tmp_path, capsys):
+        """``--follow`` on a ``.gz`` stream polled mid-append: the last
+        gzip member is half written.  The frame renders the windows of
+        the complete member instead of dying with ``EOFError``."""
+        registry = MetricsRegistry()
+        recorder = TimeseriesRecorder(registry, window_ms=100.0)
+        for window in range(5):
+            registry.counter("runtime.completions").inc(4)
+            registry.histogram("runtime.latency_ms").record(5.0 + window)
+            recorder.snapshot((window + 1) * 100.0 - 50.0)
+        windows = recorder.windows()
+        path = tmp_path / "ts.jsonl.gz"
+        write_timeseries_jsonl(path, windows[:3])
+        first_member = path.stat().st_size
+        write_timeseries_jsonl(path, windows[3:], append=True)
+        data = path.read_bytes()
+        path.write_bytes(data[: first_member + (len(data) - first_member) // 2])
+        assert top_main(["--follow", str(path), "--frames", "1", "--json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert [w["index"] for w in shown][:3] == [0, 1, 2]
+        assert top_main(["--follow", str(path), "--frames", "1"]) == 0
+        assert "runtime.completions=4" in capsys.readouterr().out
+
+
 class TestErrors:
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert top_main(["--replay", str(tmp_path / "nope.json")]) == 2
