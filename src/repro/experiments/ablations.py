@@ -215,6 +215,11 @@ class _StaleLoadFM(_FM):
             ctx.try_boost(request, desired)
         return desired
 
+    def quiescent(self, request: SimRequest) -> bool:
+        """Never: every tick may refresh the cached load that later
+        decisions read."""
+        return False
+
 
 def ablation_load_metric(scale: Scale | None = None) -> FigureResult:
     """Instantaneous vs stale load as the interval-table index."""

@@ -121,3 +121,7 @@ class EnergyAwareFMScheduler(FMScheduler):
         ):
             ctx.migrate(request, fastest)
         return desired
+
+    def quiescent(self, request: SimRequest) -> bool:
+        """Never: a tick at the top degree may still migrate the request."""
+        return False

@@ -77,6 +77,9 @@ class FMScheduler(Scheduler):
         if deadline_ms is not None and deadline_ms <= 0:
             raise ConfigurationError(f"deadline_ms must be positive: {deadline_ms}")
         self.table = table
+        # The largest degree any row prescribes (rows raise degrees
+        # strictly, so each row's last step is its largest).
+        self._top_degree = max(row.max_degree for row in table)
         self.boosting = boosting
         self.progress = progress
         self.max_backlog = max_backlog
@@ -136,3 +139,9 @@ class FMScheduler(Scheduler):
             # within the global budget (Section 4.2).
             ctx.try_boost(request, desired)
         return desired
+
+    def quiescent(self, request: SimRequest) -> bool:
+        """At the table's top degree :meth:`on_quantum` returns the
+        request's degree, and it boosts only on a raise.  Subclasses
+        that swap tables or act on ticks return False."""
+        return request.degree >= self._top_degree

@@ -129,6 +129,10 @@ class ReprofilingFMScheduler(FMScheduler):
         if self.slo_monitor is not None:
             self.slo_monitor.reset()
 
+    def quiescent(self, request: SimRequest) -> bool:
+        """Never: a rebuilt table's top degree may be higher."""
+        return False
+
     def on_exit(self, ctx: SchedulerContext, request: SimRequest) -> None:
         self._samples.append(request.seq_ms)
         if len(self._samples) > self.window:

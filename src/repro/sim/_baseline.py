@@ -248,9 +248,10 @@ class BaselineEngine:
     def _handle_quantum(self, request: SimRequest) -> None:
         if request.state is not RequestState.RUNNING:
             return
+        was_boosted = request.boosted
         desired = self.scheduler.on_quantum(self._ctx, request)
         new_degree = max(desired, request.degree)
-        if request.raise_degree(new_degree):
+        if request.raise_degree(new_degree) or (request.boosted and not was_boosted):
             self._rates_dirty = True
         self._queue.push(
             self.now_ms + self.quantum_ms,

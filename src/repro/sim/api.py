@@ -13,6 +13,8 @@ The interface mirrors the hooks the paper's runtime exposes:
 * ``on_quantum`` — the self-scheduling hook (Section 4.2): every
   scheduling quantum a running request re-reads the instantaneous load
   and may raise its parallelism.  Degrees never decrease (Theorem 1).
+  ``quiescent`` lets a policy say a request's ticks can no longer do
+  anything, so the engine skips the hook for them.
 * ``on_exit`` — called when a request completes.
 
 Policies that never change degree mid-flight (SEQ, FIX-N, Adaptive, RC)
@@ -224,8 +226,27 @@ class Scheduler(ABC):
 
         The engine clamps the result to never decrease.  Default keeps
         the current degree.
+
+        Read contract: the hook may read ``request`` and the engine-level
+        counts on ``ctx``, and act on ``request`` only.  The engine
+        brings just the ticked request's progress fields up to date
+        before the call; other running requests' ``effective_ms``,
+        ``remaining_work`` and the other accumulators may lag by the
+        ticks since the last non-tick event (DESIGN.md §10).
         """
         return request.degree
+
+    def quiescent(self, request: "SimRequest") -> bool:
+        """Whether :meth:`on_quantum` can no longer change anything for
+        this running request: it would return ``request.degree`` and
+        touch no boost, placement or policy state.
+
+        The engine then skips the hook (the tick still fires and is
+        re-armed, so event order and timing are unchanged).  The answer
+        must hold at every later tick too.  Default False; a subclass
+        that changes what a tick does must not inherit a True answer.
+        """
+        return False
 
     def on_exit(self, ctx: SchedulerContext, request: "SimRequest") -> None:
         """Notification that a request completed (optional hook)."""

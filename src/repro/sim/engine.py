@@ -27,6 +27,19 @@ re-accumulated in running-set order rather than maintained by
 add/subtract, because float addition is non-associative and
 incrementally-maintained sums would drift from the reference.
 
+Quantum ticks are cheap (DESIGN.md §10).  On the per-request loops a
+tick does not commit: it appends its interval to a pending log, and the
+log is replayed request by request, with the commit loop's operations
+in its order, before the next commit that is not a tick, before a
+recompute the tick caused, and at the end of the run.  A tick's hook
+first brings only its own request up to date (the ``on_quantum`` read
+contract in :mod:`repro.sim.api`).  A tick whose scheduler calls the
+request :meth:`~repro.sim.api.Scheduler.quiescent` skips the sync and
+the hook and is simply re-armed.  Every tick stays in the heap, so the
+commit times, the event order and every simulated bit are unchanged.
+The batch kernels, topology runs and fault-plan runs commit ticks
+eagerly.
+
 Kernel choice by running-set size (DESIGN.md §14): the commit and the
 rate refresh each exist twice, as the per-request loops above and as
 numpy *batch kernels* over a slot table.  Per event, the loops cost O(n)
@@ -242,6 +255,14 @@ class Engine:
         self._candidate = 0  # requests mid-admission (counted in the load)
         self._generation = 0
         self._rates_dirty = False
+        #: The pending-tick log (DESIGN.md §10): on the per-request loops
+        #: a quantum tick appends its interval here (:meth:`_defer`)
+        #: instead of committing it, and :meth:`_replay_ticks` commits
+        #: the log before the next commit that is not a tick.
+        #: ``_tick_sums`` holds the gauges over the logged intervals
+        #: (threads, busy cores, requests in the system).
+        self._dts: list[float] = []
+        self._tick_sums: tuple[int, float, int] = (0, 0.0, 0)
         #: True while the batch kernels run over the slot table (whose
         #: columns :meth:`_enter_batch` allocates).
         self._batch = False
@@ -303,6 +324,11 @@ class Engine:
             )
             # The slot table has no pool row: stay on the per-pool loops.
             self._batch_entry = _INF
+        if topology is not None or fault_plan is not None:
+            # Ticks commit eagerly: the per-pool energy sums interleave
+            # requests within each interval, and stalledness is tested
+            # at each interval's start (DESIGN.md §10).
+            self._defer = self._commit  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Observable state (SchedulerContext reads these)
@@ -400,8 +426,12 @@ class Engine:
         # Branches are ordered by event frequency: quantum ticks
         # dominate, then completions, then arrivals.
         heap = self._queue.heap
+        push = self._queue.push
         requests = self._requests
         streaming = self._stream is not None
+        quiescent = self.scheduler.quiescent
+        quantum_ms = self.quantum_ms
+        running_state = RequestState.RUNNING
         quantum_kind = EventKind.QUANTUM
         completion_kind = EventKind.COMPLETION
         arrival_kind = EventKind.ARRIVAL
@@ -419,14 +449,26 @@ class Engine:
                 raise SimulationError(
                     f"time went backwards: {time_ms} < {now}"
                 )
-            self._commit(time_ms if time_ms > now else now)
             if kind is quantum_kind:
+                # The tick's interval goes to the pending log (or is
+                # committed, where ticks stay eager).
+                self._defer(time_ms if time_ms > now else now)
                 try:
                     request = requests[event.request_id]
                 except KeyError:
                     continue  # finished + discarded (streaming mode)
+                if request.state is running_state and quiescent(request):
+                    # The hook could change nothing: skip it and the
+                    # request's sync, and keep the tick armed.
+                    push(self.now_ms + quantum_ms, event)
+                    continue
                 self._handle_quantum(request, event)
-            elif kind is completion_kind:
+                if self._rates_dirty:
+                    self._commit(self.now_ms)  # the log, at the old rates
+                    self._recompute_rates()
+                continue
+            self._commit(time_ms if time_ms > now else now)
+            if kind is completion_kind:
                 self._handle_completion()
             elif kind is arrival_kind:
                 if streaming:
@@ -444,6 +486,7 @@ class Engine:
                 self._handle_fault(event.payload)
             if self._rates_dirty:
                 self._recompute_rates()
+        self._commit(self.now_ms)  # ticks that popped after the last other event
         self.events_processed = events
         if self._live is not None:
             self._live.flush(self.now_ms)
@@ -517,15 +560,17 @@ class Engine:
         if request.state is not RequestState.RUNNING:
             return
         batch = self._batch
+        # The hook reads progress off the object (FM climbs its interval
+        # table on effective_ms) and may change the degree or boost
+        # state: bring the object up to date from the slot table, or
+        # over the pending-tick log.
         if batch:
-            # The hook reads progress off the object (FM climbs its
-            # interval table on effective_ms) and may change the degree
-            # or boost state the columns hold.
             slot = self._slot_of[request.rid]
             self._store_slot(slot, request)
+        elif self._dts:
+            self._commit_ticked(request)
         telemetry = self.telemetry
-        if telemetry is not None:
-            was_boosted = request.boosted
+        was_boosted = request.boosted
         desired = self.scheduler.on_quantum(self._ctx, request)
         if desired > request.degree:
             request.raise_degree(desired)
@@ -535,12 +580,16 @@ class Engine:
                 telemetry.metrics.counter("sim.degree_raises").inc()
         if batch:
             self._load_slot(slot, request)
-        if telemetry is not None and request.boosted and not was_boosted:
-            telemetry.metrics.counter("sim.boosts").inc()
-            telemetry.tracer.instant(
-                "boost", track="sim", lane=request.rid, at_ms=self.now_ms,
-                degree=request.degree,
-            )
+        if request.boosted and not was_boosted:
+            # A boost changes the request's contention factor even
+            # without a raise (FIX-N's age-based boosting).
+            self._rates_dirty = True
+            if telemetry is not None:
+                telemetry.metrics.counter("sim.boosts").inc()
+                telemetry.tracer.instant(
+                    "boost", track="sim", lane=request.rid, at_ms=self.now_ms,
+                    degree=request.degree,
+                )
         # Requests have at most one quantum tick in flight, so the event
         # object just popped is simply re-armed — no allocation per tick.
         self._queue.push(self.now_ms + self.quantum_ms, event)
@@ -903,10 +952,13 @@ class Engine:
         the current (constant) rates.
 
         This is the hottest loop in the simulator — it visits every
-        running request on every event — so the body of
-        :meth:`SimRequest.advance` is inlined here (same operations, in
-        the same order, so results stay bit-identical to the method).
+        running request on every event that is not a deferred tick — so
+        the body of :meth:`SimRequest.advance` is inlined here (same
+        operations, in the same order, so results stay bit-identical to
+        the method).  The pending-tick log is committed first.
         """
+        if self._dts:
+            self._replay_ticks()
         dt = t - self.now_ms
         if dt > 0:
             now = self.now_ms
@@ -957,6 +1009,117 @@ class Engine:
             )
             self._metrics.observe_interval(dt, total_threads, busy_cores, in_system)
         self.now_ms = t
+
+    # ------------------------------------------------------------------
+    # Deferred tick commits (DESIGN.md §10).  On the per-request loops a
+    # quantum tick only logs its interval; the log is replayed request
+    # by request, with :meth:`_commit`'s operations in its order, before
+    # the next commit that is not a tick, before a recompute a tick
+    # caused, and at the end of the run.  Each request's accumulators
+    # are its own, so advancing one request over k intervals and then
+    # the next gives the same bits as k passes over the running set.
+    # Nothing the replay reads can change inside the log: rates, shares
+    # and the gauges change only at a recompute (which replays first),
+    # and a tick's hook changes only its own request, which is brought
+    # up to date before the hook runs (the on_quantum read contract in
+    # repro.sim.api).  Runs with a fault plan or a topology, and the
+    # batch kernels, commit every tick eagerly (``_defer`` is rebound).
+    # The replay runs under exactly one ``_commit*`` frame (``_commit``
+    # or ``_commit_ticked``), so a profile's commit share counts it once.
+    # ------------------------------------------------------------------
+    def _defer(self, t: float) -> None:
+        """A quantum tick's commit: log the interval and advance ``now``."""
+        dt = t - self.now_ms
+        if dt > 0:
+            dts = self._dts
+            if not dts:
+                # The gauges hold over the whole log; take them before
+                # this tick's hook can raise a degree.
+                busy_cores = 0.0
+                total_threads = 0
+                for request in self._running.values():
+                    busy_cores += request.share_cores
+                    total_threads += request.degree
+                in_system = (
+                    len(self._running) + len(self._delayed) + len(self._waiting_fifo)
+                )
+                self._tick_sums = (total_threads, busy_cores, in_system)
+            dts.append(dt)
+        self.now_ms = t
+
+    def _commit_ticked(self, request: SimRequest) -> None:
+        """Advance the ticked request over the log before its hook."""
+        self._replay((request,), len(self._dts))
+
+    def _replay_ticks(self) -> None:
+        """Commit the pending-tick log: every running request over the
+        intervals it has not seen yet, then the metric integrals."""
+        self._replay(self._running.values(), 0)
+        dts = self._dts
+        self._metrics.observe_intervals(dts, *self._tick_sums)
+        dts.clear()
+
+    def _replay(self, requests: Iterable[SimRequest], mark: int) -> None:
+        """:meth:`_commit`'s per-request body over the logged intervals
+        each request has not seen (from its ``tick_mark`` on), in
+        locals, stored once; the marks are then set to ``mark``.  No
+        logged interval is stalled: fault-plan runs never defer."""
+        log = self._dts
+        logged = len(log)
+        attribution = self.attribution
+        for request in requests:
+            start = request.tick_mark
+            request.tick_mark = mark
+            if start == logged:
+                continue
+            dts = log[start:] if start else log
+            factor = request.share_factor
+            rate = request.rate
+            degree = request.degree
+            threads = float(degree)  # threads * dt is degree * dt, on floats
+            core_alloc = request.share_cores
+            boost_wait = request.boost_pending and not request.boosted
+            service = request.attr_service_ms
+            slowdowns = (
+                request.attr_boost_wait_ms if boost_wait else request.attr_contention_ms
+            )
+            effective = request.effective_ms
+            remaining_work = request.remaining_work
+            thread_time = request.thread_time_ms
+            core_time = request.core_time_ms
+            residency = request.degree_residency
+            try:
+                resident = residency[degree]
+            except KeyError:
+                resident = 0.0  # 0.0 + dt == dt: the loop's first entry
+            for dt in dts:
+                useful = factor * dt
+                if attribution:
+                    service += useful
+                    slowdowns += dt - useful
+                effective += useful
+                remaining = remaining_work - rate * dt
+                if remaining <= 0.0:
+                    if remaining < -1e-6:
+                        raise SimulationError(
+                            f"request {request.rid}: overshoot {remaining}"
+                        )
+                    remaining = 0.0
+                remaining_work = remaining
+                thread_time += threads * dt
+                core_time += core_alloc * dt
+                resident += dt
+            if attribution:
+                request.attr_service_ms = service
+                if boost_wait:
+                    request.attr_boost_wait_ms = slowdowns
+                else:
+                    request.attr_contention_ms = slowdowns
+            request.effective_ms = effective
+            request.remaining_work = remaining_work
+            request.thread_time_ms = thread_time
+            request.core_time_ms = core_time
+            residency[degree] = resident
 
     def _recompute_rates(self) -> None:
         """Refresh per-request rates and schedule the next tentative
@@ -1049,6 +1212,7 @@ class Engine:
             self._add_slot(request)
         self._batch = True
         self._commit = self._commit_batch  # type: ignore[method-assign]
+        self._defer = self._commit_batch  # type: ignore[method-assign]
         self._recompute_rates = (  # type: ignore[method-assign]
             self._recompute_rates_batch
         )
@@ -1058,7 +1222,9 @@ class Engine:
         per-request loops."""
         self._store_slots()
         self._batch = False
-        del self._commit, self._recompute_rates  # back to the class loops
+        del self._commit, self._defer, self._recompute_rates  # back to the class loops
+        if self.fault_plan is not None:
+            self._defer = self._commit  # type: ignore[method-assign]
         self._slot_req = []
         self._slot_of = {}
 

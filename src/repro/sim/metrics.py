@@ -194,6 +194,39 @@ class MetricsCollector:
             self._thread_residency.get(total_threads, 0.0) + dt_ms
         )
 
+    def observe_intervals(
+        self,
+        dts_ms: Sequence[float],
+        total_threads: int,
+        busy_cores: float,
+        system_count: int,
+    ) -> None:
+        """:meth:`observe_interval` over consecutive intervals with the
+        same gauges: the same additions in the same order, so the same
+        bits, with the integrals held in locals."""
+        if dts_ms and min(dts_ms) < 0:
+            raise SimulationError(f"negative interval {min(dts_ms)}")
+        thread_integral = self._thread_integral
+        core_busy_integral = self._core_busy_integral
+        system_count_integral = self._system_count_integral
+        observed_ms = self._observed_ms
+        # An int times a float converts the int first: the same products.
+        threads = float(total_threads)
+        in_system = float(system_count)
+        resident = self._thread_residency.get(total_threads, 0.0)
+        for dt_ms in dts_ms:
+            thread_integral += threads * dt_ms
+            core_busy_integral += busy_cores * dt_ms
+            system_count_integral += in_system * dt_ms
+            observed_ms += dt_ms
+            resident += dt_ms
+        self._thread_integral = thread_integral
+        self._core_busy_integral = core_busy_integral
+        self._system_count_integral = system_count_integral
+        self._observed_ms = observed_ms
+        if dts_ms:
+            self._thread_residency[total_threads] = resident
+
     def record(self, request: SimRequest) -> None:
         """Snapshot a completed request."""
         if request.start_ms is None or request.finish_ms is None:

@@ -74,6 +74,7 @@ class SimRequest:
         "pool",
         "energy_mj",
         "migrations",
+        "tick_mark",
     )
 
     def __init__(
@@ -147,6 +148,10 @@ class SimRequest:
         self.pool = 0
         self.energy_mj = 0.0
         self.migrations = 0
+        #: Engine bookkeeping for deferred quantum ticks (DESIGN.md §10):
+        #: how many of the engine's logged tick intervals this request
+        #: has already been advanced over.
+        self.tick_mark = 0
 
     # ------------------------------------------------------------------
     def start(self, now_ms: float, degree: int) -> None:

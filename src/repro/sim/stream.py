@@ -21,7 +21,7 @@ worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan, FaultStats
@@ -159,6 +159,34 @@ class StreamingCollector:
         self._core_busy_integral += busy_cores * dt_ms
         self._system_count_integral += system_count * dt_ms
         self._observed_ms += dt_ms
+
+    def observe_intervals(
+        self,
+        dts_ms: Sequence[float],
+        total_threads: int,
+        busy_cores: float,
+        system_count: int,
+    ) -> None:
+        """:meth:`MetricsCollector.observe_intervals` without the thread
+        residency."""
+        if dts_ms and min(dts_ms) < 0:
+            raise SimulationError(f"negative interval {min(dts_ms)}")
+        thread_integral = self._thread_integral
+        core_busy_integral = self._core_busy_integral
+        system_count_integral = self._system_count_integral
+        observed_ms = self._observed_ms
+        # An int times a float converts the int first: the same products.
+        threads = float(total_threads)
+        in_system = float(system_count)
+        for dt_ms in dts_ms:
+            thread_integral += threads * dt_ms
+            core_busy_integral += busy_cores * dt_ms
+            system_count_integral += in_system * dt_ms
+            observed_ms += dt_ms
+        self._thread_integral = thread_integral
+        self._core_busy_integral = core_busy_integral
+        self._system_count_integral = system_count_integral
+        self._observed_ms = observed_ms
 
     def record(self, request: SimRequest) -> None:
         if request.finish_ms is None:

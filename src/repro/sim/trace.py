@@ -148,6 +148,10 @@ class TraceRecorder(Scheduler):
             self._emit(ctx, TraceEventKind.BOOST, request.rid)
         return desired
 
+    def quiescent(self, request: SimRequest) -> bool:
+        # A skipped tick changes nothing, so it would record nothing.
+        return self.inner.quiescent(request)
+
     def on_exit(self, ctx: SchedulerContext, request: SimRequest) -> None:
         self._emit(
             ctx,

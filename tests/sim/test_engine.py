@@ -143,6 +143,32 @@ class TestContention:
         assert by_rid[1].latency_ms == pytest.approx(60.0)
         assert by_rid[0].latency_ms == pytest.approx(130.0)
 
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["loop", "batch"])
+    def test_boost_granted_at_a_tick_takes_effect_at_once(self, vectorized):
+        """FIX-N's age-based boost raises no degree, yet the boosted
+        request must get the boosted factor right away, not at the next
+        arrival or completion.  Six degree-2 requests on 6 cores
+        oversubscribe them; at 10 ms two boosts fit the budget, and no
+        other event fires before the next tick."""
+        from repro.sim.vector import VectorEngine
+
+        scheduler = FixedScheduler(2, boost_after_ms=10.0)
+        seen = []
+        original = scheduler.on_quantum
+
+        def on_quantum(ctx, request):
+            seen.append((ctx.now_ms, request.rid, request.boosted, request.share_factor))
+            return original(ctx, request)
+
+        scheduler.on_quantum = on_quantum
+        engine_cls = VectorEngine if vectorized else Engine
+        engine = engine_cls(cores=6, scheduler=scheduler, spin_fraction=0.25)
+        engine.run(_arrivals([(0.0, 500.0)] * 6))
+        early = [entry for entry in seen if entry[0] < 100.0]
+        assert {rid for _, rid, was, _ in early if was} == {0, 1}
+        assert all(factor == 1.0 for _, _, was, factor in early if was)
+        assert max(factor for _, _, was, factor in early if not was) < 1.0
+
 
 class TestDeterminism:
     def test_identical_runs_are_bitwise_equal(self, tiny_workload):

@@ -8,6 +8,7 @@ from repro.core.speedup import TabulatedSpeedup
 from repro.errors import SimulationError
 from repro.sim.metrics import MetricsCollector, RequestRecord, SimulationResult
 from repro.sim.request import SimRequest
+from repro.sim.stream import StreamingCollector
 
 _CURVE = TabulatedSpeedup([1.0, 1.5, 2.0])
 
@@ -62,6 +63,25 @@ class TestCollector:
     def test_rejects_negative_interval(self):
         with pytest.raises(SimulationError):
             MetricsCollector(cores=4).observe_interval(-1.0, 0, 0.0, 0)
+
+    @pytest.mark.parametrize("collector_cls", [MetricsCollector, StreamingCollector])
+    def test_interval_runs_equal_single_intervals_bitwise(self, collector_cls):
+        """``observe_intervals`` is the deferred-tick replay of the
+        integrals: the same additions as one call per interval."""
+        def integrals(collector):
+            return {k: v for k, v in vars(collector).items() if k.startswith("_")}
+
+        dts = [0.1, 1e-3, 7.3, 0.1, 2.0 / 3.0]
+        one, many = collector_cls(cores=4), collector_cls(cores=4)
+        for collector in (one, many):
+            collector.observe_interval(0.7, 2, 1.9, 3)
+        for dt in dts:
+            one.observe_interval(dt, 5, 3.3, 6)
+        many.observe_intervals(dts, 5, 3.3, 6)
+        assert integrals(one) == integrals(many)
+        with pytest.raises(SimulationError):
+            many.observe_intervals([1.0, -1.0], 5, 3.3, 6)
+        assert integrals(one) == integrals(many)  # rejected before any change
 
     def test_empty_result_rejected(self):
         with pytest.raises(SimulationError):
