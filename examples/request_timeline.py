@@ -5,17 +5,21 @@ replays a short bursty trace, then prints (a) the full decision log of
 the slowest request — when it was admitted, at what loads it climbed
 each degree, whether it got boosted — and (b) a behavioural fingerprint
 of the whole run (how many admissions were immediate vs delayed vs
-queued, how many degree climbs and boosts happened).
+queued, how many degree climbs and boosts happened).  Both read the
+recorder's decision spans: one instant per decision on the
+``sim.sched`` track, on the request's lane.
 
 Run:  python examples/request_timeline.py
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core import SearchConfig, build_interval_table
 from repro.experiments import run_policy
 from repro.schedulers import FMScheduler
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import SCHED_TRACK, TraceRecorder
 from repro.workloads import lucene
 from repro.workloads.arrivals import PiecewiseRateProcess
 
@@ -46,13 +50,17 @@ def main() -> None:
     print(f"slowest request: r{slowest.rid}  "
           f"seq demand {slowest.seq_ms:.0f} ms, latency {slowest.latency_ms:.0f} ms, "
           f"final degree {slowest.final_degree}, boosted={slowest.boosted}")
+    decisions = recorder.tracer.by_track(SCHED_TRACK)
     print("\nits decision timeline:")
-    for event in recorder.timeline(slowest.rid):
-        print("  " + event.describe())
+    for span in decisions:
+        if span.lane == slowest.rid:
+            detail = span.attrs["detail"]
+            print(f"  t={span.start_ms:9.2f}ms  q={span.attrs['load']:3d}  "
+                  f"r{span.lane:<5d} {span.name}" + (f" {detail}" if detail else ""))
 
     print("\nrun fingerprint (event counts):")
-    for kind, count in sorted(recorder.counts().items(), key=lambda kv: kv[0].value):
-        print(f"  {kind.value:10s} {count}")
+    for name, count in sorted(Counter(span.name for span in decisions).items()):
+        print(f"  {name:10s} {count}")
 
     print(f"\np99 latency {result.tail_latency_ms():.0f} ms, "
           f"avg threads {result.average_threads():.1f}, "

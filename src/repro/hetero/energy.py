@@ -21,7 +21,7 @@ requests (fault injection) hold their cores in spin — the thread is
 occupied but making no progress.
 
 The report is attached to :class:`repro.sim.metrics.SimulationResult`
-as ``result.energy`` (``None`` for legacy homogeneous runs, keeping
+as ``result.energy`` (``None`` for runs without a topology, keeping
 every existing experiment byte-identical).
 """
 

@@ -9,10 +9,10 @@ from repro.sim.api import Admission, AdmissionAction, Scheduler, SchedulerContex
 from repro.sim.engine import ArrivalSpec, Engine, simulate
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.metrics import MetricsCollector, RequestRecord, ShedRecord, SimulationResult
-from repro.sim.processor import BoostController, compute_shares
+from repro.sim.processor import BoostController
 from repro.sim.request import RequestState, SimRequest
 from repro.sim.stream import StreamingCollector, StreamSummary, simulate_stream
-from repro.sim.trace import TraceEvent, TraceEventKind, TraceRecorder
+from repro.sim.trace import TraceEventKind, TraceRecorder
 from repro.sim.vector import VectorEngine
 
 __all__ = [
@@ -34,11 +34,9 @@ __all__ = [
     "SimulationResult",
     "StreamSummary",
     "StreamingCollector",
-    "TraceEvent",
     "TraceEventKind",
     "TraceRecorder",
     "VectorEngine",
-    "compute_shares",
     "simulate",
     "simulate_stream",
 ]

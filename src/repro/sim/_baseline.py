@@ -30,7 +30,7 @@ from repro.sim.api import Admission, AdmissionAction, Scheduler, SchedulerContex
 from repro.sim.engine import ArrivalSpec
 from repro.sim.events import Event, EventKind
 from repro.sim.metrics import MetricsCollector, SimulationResult
-from repro.sim.processor import ThreadAllocation, occupancy
+from repro.sim.processor import occupancy
 from repro.sim.request import RequestState, SimRequest
 
 __all__ = ["BaselineEngine", "simulate_baseline"]
@@ -41,6 +41,15 @@ _STALL = "stall"
 _STALL_END = "stall_end"
 
 _FINISH_EPS = 1e-6  # ms — one nanosecond of slack for float residue
+
+
+@dataclass(frozen=True, slots=True)
+class ThreadAllocation:
+    """Per-request outcome of one allocation round: the factor on the
+    speedup (1.0 = no contention) and the physical-core share."""
+
+    progress_factor: float
+    core_alloc: float
 
 
 @dataclass(order=True)

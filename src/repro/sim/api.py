@@ -160,7 +160,7 @@ class SchedulerContext:
     @property
     def topology(self):
         """The :class:`~repro.hetero.pools.Topology`, or ``None`` on
-        the legacy homogeneous path."""
+        a homogeneous run."""
         return self._engine.topology
 
     @property

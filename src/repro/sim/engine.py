@@ -40,6 +40,11 @@ commit times, the event order and every simulated bit are unchanged.
 The batch kernels, topology runs and fault-plan runs commit ticks
 eagerly.
 
+Core pools (DESIGN.md §12): a run without a
+:class:`~repro.hetero.pools.Topology` is one pool of every core at speed
+1.0 with no energy model, so every run shares one commit loop and one
+rate refresh.
+
 Kernel choice by running-set size (DESIGN.md §14): the commit and the
 rate refresh each exist twice, as the per-request loops above and as
 numpy *batch kernels* over a slot table.  Per event, the loops cost O(n)
@@ -69,8 +74,8 @@ sizes, and the band keeps a running set that hovers near one size from
 copying itself on every start and exit.  Each switch is bit-identical:
 slot order is running-set order and the order-sensitive sums are
 left-to-right ``np.cumsum``, so no simulated float changes, only wall
-time.  Runs with a :class:`~repro.hetero.pools.Topology` stay on the
-per-pool loops, because the slot table has no pool row.
+time.  Runs with a topology stay on the per-request loops, because the
+slot table has no pool row.
 
 The slot table is two 2-D arrays with one lane per slot: a float64 block
 with a row per hot request field plus a *ones* row (1.0 on active
@@ -104,7 +109,7 @@ from repro.hetero.pools import Topology
 from repro.sim.api import Admission, AdmissionAction, Scheduler, SchedulerContext
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.metrics import MetricsCollector, SimulationResult
-from repro.sim.processor import BoostController, occupancy
+from repro.sim.processor import BoostController, occupancy, share_factors
 from repro.sim.request import RequestState, SimRequest
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.telemetry.spans import Span
@@ -145,6 +150,18 @@ class ArrivalSpec:
     seq_ms: float
     speedup: SpeedupCurve
     tag: Any = None
+
+
+def _attribution(request: SimRequest) -> dict[str, float]:
+    """A finished request's additive latency components, with the floats
+    and in the order of :meth:`RequestRecord.attribution`."""
+    return {
+        "queue_ms": request.start_ms - request.arrival_ms,
+        "service_ms": request.attr_service_ms,
+        "contention_ms": request.attr_contention_ms,
+        "boost_wait_ms": request.attr_boost_wait_ms,
+        "stall_ms": request.attr_stall_ms,
+    }
 
 
 class Engine:
@@ -197,16 +214,15 @@ class Engine:
         exactly one pool), rates scale by the pool speed, and a
         deterministic energy accumulator tracks active/spin/idle joules
         per pool (DESIGN.md §12).  ``topology.total_cores`` must equal
-        ``cores``.  When ``None`` (the default) the legacy homogeneous
-        path runs untouched — and a single-pool topology at speed 1.0
-        is attested bit-identical to it, because every hetero-path
-        float operation reduces to the legacy one (``x * 1.0`` is exact
-        in IEEE 754 and the per-pool demand sums accumulate in the same
-        running-set order).
+        ``cores``.  When ``None`` (the default) the machine is one pool
+        of ``cores`` cores at speed 1.0 with no energy model.  Both run
+        the same loops, so a single-pool topology at speed 1.0 gives
+        the same bits by construction: ``x * 1.0`` is exact in IEEE 754
+        and the one pool's demand sums run in running-set order.
 
-    Homogeneous runs pick their commit/recompute kernels by running-set
-    size (:data:`BATCH_ENTRY` / :data:`BATCH_EXIT`, module docstring);
-    nothing for the caller to set.
+    Runs without a topology pick their commit/recompute kernels by
+    running-set size (:data:`BATCH_ENTRY` / :data:`BATCH_EXIT`, module
+    docstring); nothing for the caller to set.
     """
 
     #: Kernel crossover sizes; subclasses override them to pin a kernel
@@ -246,7 +262,6 @@ class Engine:
         self.boost = BoostController(cores)
 
         self.now_ms = 0.0
-        self._cores_online = cores
         self._queue = EventQueue()
         self._requests: dict[int, SimRequest] = {}
         self._running: dict[int, SimRequest] = {}
@@ -296,14 +311,15 @@ class Engine:
         self._live = live
         self._run_spans: dict[int, Span] = {}
 
-        #: Heterogeneous-topology state (repro.hetero).  The per-pool
-        #: arrays are indexed by pool position; energy accumulates in
-        #: watt-milliseconds (= millijoules) and converts to joules in
-        #: the final :class:`~repro.hetero.energy.EnergyReport`.  The
-        #: hot-path entry points are rebound per instance so the legacy
-        #: run loop never pays a single ``if`` for the hetero feature.
+        #: Core pools (repro.hetero), by position.  A run without a
+        #: topology is one pool of every core at speed 1.0; a topology
+        #: run adds the energy model (``_hetero``), in W·ms = mJ until
+        #: the final :class:`~repro.hetero.energy.EnergyReport`.
         self.topology = topology
         self._hetero = topology is not None
+        self._npools = 1
+        self._pool_online = [cores]
+        self._pool_speeds = [1.0]
         if topology is not None:
             npools = len(topology)
             self._npools = npools
@@ -318,11 +334,7 @@ class Engine:
             self._e_active = [0.0] * npools
             self._e_spin = [0.0] * npools
             self._e_idle = [0.0] * npools
-            self._commit = self._commit_hetero  # type: ignore[method-assign]
-            self._recompute_rates = (  # type: ignore[method-assign]
-                self._recompute_rates_hetero
-            )
-            # The slot table has no pool row: stay on the per-pool loops.
+            # The slot table has no pool row: stay on the loops.
             self._batch_entry = _INF
         if topology is not None or fault_plan is not None:
             # Ticks commit eagerly: the per-pool energy sums interleave
@@ -362,7 +374,7 @@ class Engine:
     @property
     def cores_online(self) -> int:
         """Cores currently available (reduced while a core fault is live)."""
-        return self._cores_online
+        return sum(self._pool_online)
 
     # ------------------------------------------------------------------
     # Public API
@@ -608,7 +620,7 @@ class Engine:
             if self.telemetry is not None:
                 self._finish_telemetry(request)  # span needs boosted flag too
             if self._live is not None:
-                self._feed_live()
+                self._feed_live(request)
             self.boost.release(request)
             self._completed += 1
             self.scheduler.on_exit(self._ctx, request)
@@ -625,18 +637,17 @@ class Engine:
         self._rates_dirty = True
         self._wake_waiters(exits=len(finished))
 
-    def _feed_live(self) -> None:
-        """Feed the just-recorded completion into the live plane's
-        window stream (components/energy/pool from the same
-        :class:`RequestRecord` the collector keeps)."""
-        record = self._metrics.records[-1]
+    def _feed_live(self, request: SimRequest) -> None:
+        """Feed a finished request into the live plane's window stream,
+        with the floats its :class:`RequestRecord` carries (read off the
+        request, as a streaming collector keeps no records)."""
         self._live.observe(
-            at_ms=record.finish_ms,
-            latency_ms=record.latency_ms,
-            components=record.attribution() if self.attribution else None,
-            energy_j=record.energy_j,
-            pool=self._pool_names[record.pool] if self._hetero else "",
-            rid=record.rid,
+            at_ms=request.finish_ms,
+            latency_ms=request.finish_ms - request.arrival_ms,
+            components=_attribution(request) if self.attribution else None,
+            energy_j=request.energy_mj / 1000.0,
+            pool=self._pool_names[request.pool] if self._hetero else "",
+            rid=request.rid,
         )
 
     # ------------------------------------------------------------------
@@ -647,42 +658,33 @@ class Engine:
         stats = self._metrics.fault_stats
         if kind == _CORE_LOSS:
             fault: CoreFault = detail
-            removed = self._cores_online - max(1, self._cores_online - fault.cores)
-            self._cores_online -= removed
-            if self._hetero:
-                # Take cores from the highest-index pools first (the
-                # little cluster in the canonical big/little ordering),
-                # deterministically; individual pools may go to zero as
-                # long as the machine keeps one core somewhere.
-                remaining = removed
-                taken = [0] * self._npools
-                for pool in range(self._npools - 1, -1, -1):
-                    take = min(remaining, self._pool_online[pool])
-                    self._pool_online[pool] -= take
-                    taken[pool] = take
-                    remaining -= take
-                    if remaining == 0:
-                        break
-                restore_detail: object = tuple(taken)
-            else:
-                restore_detail = removed
+            online = sum(self._pool_online)
+            removed = online - max(1, online - fault.cores)
+            # Take cores from the highest-index pools first (the little
+            # cluster in the canonical big/little ordering),
+            # deterministically; individual pools may go to zero as long
+            # as the machine keeps one core somewhere.
+            remaining = removed
+            taken = [0] * self._npools
+            for pool in range(self._npools - 1, -1, -1):
+                take = min(remaining, self._pool_online[pool])
+                self._pool_online[pool] -= take
+                taken[pool] = take
+                remaining -= take
+                if remaining == 0:
+                    break
             stats.core_faults_applied += 1
             stats.faults_fired += 1
             self._observe_fault("core_loss", cores=removed)
             self._queue.push(
                 self.now_ms + fault.duration_ms,
-                Event(EventKind.FAULT, payload=(_CORE_RESTORE, restore_detail)),
+                Event(EventKind.FAULT, payload=(_CORE_RESTORE, tuple(taken))),
             )
             self._rates_dirty = True
         elif kind == _CORE_RESTORE:
-            if self._hetero:
-                taken = detail  # per-pool removal counts from the loss
-                for pool, count in enumerate(taken):
-                    self._pool_online[pool] += count
-                self._cores_online = min(self.cores, sum(self._pool_online))
-            else:
-                self._cores_online = min(self.cores, self._cores_online + int(detail))
-            self._observe_fault("core_restore", cores_online=self._cores_online)
+            for pool, count in enumerate(detail):  # the loss's per-pool counts
+                self._pool_online[pool] += count
+            self._observe_fault("core_restore", cores_online=self.cores_online)
             self._rates_dirty = True
         elif kind == _STALL:
             stall: StallFault = detail
@@ -795,7 +797,7 @@ class Engine:
         """Begin executing an admitted request (the one place requests
         transition into the running set).
 
-        On a heterogeneous topology the request is placed on ``pool``
+        With several core pools the request is placed on ``pool``
         when the policy pinned one, else on the engine default: the
         fastest pool with occupancy headroom for it (falling back to
         the freest pool) — so policies that never mention pools still
@@ -804,7 +806,7 @@ class Engine:
         waited_as = request.state  # pre-start state names the wait kind
         request.start(self.now_ms, max(1, degree))
         self._refresh_degree_cache(request)
-        if self._hetero:
+        if self._npools > 1:
             if pool is not None and 0 <= pool < self._npools:
                 request.pool = pool
             else:
@@ -840,27 +842,13 @@ class Engine:
         telemetry.metrics.histogram("sim.latency_ms").record(request.latency_ms)
         attrs: dict[str, object] = {}
         if self.attribution:
-            metrics = telemetry.metrics
-            queue_ms = (request.start_ms or request.arrival_ms) - request.arrival_ms
-            metrics.histogram("sim.attr.queue_ms").record(queue_ms)
-            metrics.histogram("sim.attr.service_ms").record(request.attr_service_ms)
-            metrics.histogram("sim.attr.contention_ms").record(
-                request.attr_contention_ms
-            )
-            metrics.histogram("sim.attr.boost_wait_ms").record(
-                request.attr_boost_wait_ms
-            )
-            metrics.histogram("sim.attr.stall_ms").record(request.attr_stall_ms)
             # The run span carries the full decomposition so offline
             # trace analysis (`repro analyze`) can attribute the tail
             # without the RequestRecords.
-            attrs = {
-                "queue_ms": queue_ms,
-                "service_ms": request.attr_service_ms,
-                "contention_ms": request.attr_contention_ms,
-                "boost_wait_ms": request.attr_boost_wait_ms,
-                "stall_ms": request.attr_stall_ms,
-            }
+            attrs = _attribution(request)
+            metrics = telemetry.metrics
+            for name, value in attrs.items():
+                metrics.histogram("sim.attr." + name).record(value)
         if self._hetero:
             energy_j = request.energy_mj / 1000.0
             telemetry.metrics.histogram("sim.energy.request_j").record(energy_j)
@@ -955,7 +943,8 @@ class Engine:
         running request on every event that is not a deferred tick — so
         the body of :meth:`SimRequest.advance` is inlined here (same
         operations, in the same order, so results stay bit-identical to
-        the method).  The pending-tick log is committed first.
+        the method).  The pending-tick log is committed first; a
+        topology run then charges the interval to the energy model.
         """
         if self._dts:
             self._replay_ticks()
@@ -1004,11 +993,49 @@ class Engine:
                     residency[degree] = dt
                 busy_cores += core_alloc
                 total_threads += degree
+            if self._hetero:
+                self._account_energy(now, dt)
             in_system = (
                 len(self._running) + len(self._delayed) + len(self._waiting_fifo)
             )
             self._metrics.observe_interval(dt, total_threads, busy_cores, in_system)
         self.now_ms = t
+
+    def _account_energy(self, now: float, dt: float) -> None:
+        """Charge the committed interval ``[now, now + dt)`` to the
+        per-pool energy accumulators (topology runs only), in W·ms = mJ.
+
+        A request's threads occupy ``share_cores`` cores of its pool at
+        active power: the useful ``degree_speedup * factor`` part is
+        active (nothing while stalled), the rest spin.  Online cores
+        with no thread accrue idle energy.  The pass runs in running-set
+        order, so each accumulator adds what a fused loop would add.
+        """
+        have_faults = self.fault_plan is not None
+        active_w = self._pool_active_w
+        e_active = self._e_active
+        e_spin = self._e_spin
+        pool_busy = [0.0] * self._npools
+        for request in self._running.values():
+            pool = request.pool
+            core_alloc = request.share_cores
+            occupied_ms = core_alloc * dt
+            if have_faults and request.is_stalled(now):
+                active_ms = 0.0
+            else:
+                active_ms = request.degree_speedup * request.share_factor * dt
+            power = active_w[pool]
+            e_active[pool] += power * active_ms
+            e_spin[pool] += power * (occupied_ms - active_ms)
+            request.energy_mj += power * occupied_ms
+            pool_busy[pool] += core_alloc
+        idle_w = self._pool_idle_w
+        online = self._pool_online
+        e_idle = self._e_idle
+        for pool in range(self._npools):
+            idle_cores = online[pool] - pool_busy[pool]
+            if idle_cores > 0.0:
+                e_idle[pool] += idle_w[pool] * idle_cores * dt
 
     # ------------------------------------------------------------------
     # Deferred tick commits (DESIGN.md §10).  On the per-request loops a
@@ -1125,53 +1152,61 @@ class Engine:
         """Refresh per-request rates and schedule the next tentative
         completion; called after any state change.
 
-        Two tight passes over the running set, no allocations:
+        Pool by pool (a run without a topology is one pool; several
+        pools split the running set, keeping its order within each),
+        two tight passes over the pool's requests:
 
         1. re-accumulate the boosted / unboosted occupancy sums from the
            cached per-degree demands (re-accumulated, not incrementally
            adjusted: float addition is non-associative, and the sums
            must stay bit-identical to the reference engine's);
-        2. derive the two contention factors, then store each request's
-           factor, core share, and rate inline and track the earliest
-           tentative completion in the same sweep.
+        2. take the two contention factors from :func:`share_factors`,
+           then store each request's factor, core share, and rate
+           (scaled by the pool speed; ``x * 1.0`` is exact) inline and
+           track the earliest tentative completion in the same sweep.
         """
         self._rates_dirty = False
         self._generation += 1
-        running = self._running
-        boosted_demand = 0.0
-        unboosted_demand = 0.0
-        for request in running.values():
-            if request.boosted:
-                boosted_demand += request.degree_demand
-            else:
-                unboosted_demand += request.degree_demand
-
-        cores = self._cores_online
-        boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
-        remaining_cores = cores - boosted_demand * boosted_factor
-        if unboosted_demand > 0:
-            unboosted_factor = min(1.0, max(0.0, remaining_cores) / unboosted_demand)
+        running = self._running.values()
+        if self._npools == 1:
+            pools: Sequence[Iterable[SimRequest]] = (running,)
         else:
-            unboosted_factor = 1.0
+            pools = [[] for _ in range(self._npools)]
+            for request in running:
+                pools[request.pool].append(request)
 
         now = self.now_ms
         have_faults = self.fault_plan is not None
+        online = self._pool_online
+        speeds = self._pool_speeds
         earliest = _INF
-        for request in running.values():
-            factor = boosted_factor if request.boosted else unboosted_factor
-            request.share_factor = factor
-            request.share_cores = request.degree_demand * factor
-            rate = request.degree_speedup * factor
-            if have_faults and request.is_stalled(now):
-                # An injected worker stall: the request's threads keep
-                # their cores (hung workers occupy, not yield) but
-                # retire no work until the stall expires.
-                rate = 0.0
-            request.rate = rate
-            if rate > 0.0:
-                eta = now + request.remaining_work / rate
-                if eta < earliest:
-                    earliest = eta
+        for pool, members in enumerate(pools):
+            boosted_demand = 0.0
+            unboosted_demand = 0.0
+            for request in members:
+                if request.boosted:
+                    boosted_demand += request.degree_demand
+                else:
+                    unboosted_demand += request.degree_demand
+            boosted_factor, unboosted_factor = share_factors(
+                online[pool], boosted_demand, unboosted_demand
+            )
+            speed = speeds[pool]
+            for request in members:
+                factor = boosted_factor if request.boosted else unboosted_factor
+                request.share_factor = factor
+                request.share_cores = request.degree_demand * factor
+                rate = request.degree_speedup * factor * speed
+                if have_faults and request.is_stalled(now):
+                    # An injected worker stall: the request's threads keep
+                    # their cores (hung workers occupy, not yield) but
+                    # retire no work until the stall expires.
+                    rate = 0.0
+                request.rate = rate
+                if rate > 0.0:
+                    eta = now + request.remaining_work / rate
+                    if eta < earliest:
+                        earliest = eta
         if earliest < _INF:
             self._queue.push(
                 max(earliest, now),
@@ -1396,14 +1431,9 @@ class Engine:
         else:  # every active lane is unboosted, and free lanes add +0.0
             boosted_demand = 0.0
             unboosted_demand = float(demand.cumsum()[-1])
-
-        cores = self._cores_online
-        boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
-        remaining_cores = cores - boosted_demand * boosted_factor
-        if unboosted_demand > 0:
-            unboosted_factor = min(1.0, max(0.0, remaining_cores) / unboosted_demand)
-        else:
-            unboosted_factor = 1.0
+        boosted_factor, unboosted_factor = share_factors(
+            self._pool_online[0], boosted_demand, unboosted_demand
+        )
 
         # Factors are finite and >= 0, so a free lane's 0.0 * factor is
         # +0.0 and only share_factor needs the ones row to stay zero.
@@ -1427,24 +1457,21 @@ class Engine:
             )
 
     # ------------------------------------------------------------------
-    # Heterogeneous-topology machinery (repro.hetero, DESIGN.md §12).
-    # These entry points replace _commit/_recompute_rates via instance
-    # rebinding in __init__ when a topology is supplied; the legacy
-    # homogeneous path never reaches any of this code.
+    # Core pools (repro.hetero, DESIGN.md §12)
     # ------------------------------------------------------------------
     def pool_free_cores(self, pool: int) -> float:
         """Occupancy headroom of ``pool``: online cores minus the summed
         occupancy demand of the requests currently placed there (the
-        whole machine on the homogeneous path)."""
+        whole machine without a topology)."""
+        if not 0 <= pool < self._npools:
+            raise SimulationError(f"no pool {pool}: the engine has {self._npools}")
         if not self._hetero:
-            if pool != 0:
-                raise SimulationError(f"homogeneous engine has no pool {pool}")
+            # cores - (d1 + d2 + ...): a different rounding from the
+            # pooled ((cores - d1) - d2) - ..., kept for its bits.
             demand = 0.0
             for request in self._running.values():
                 demand += request.degree_demand
-            return self._cores_online - demand
-        if not 0 <= pool < self._npools:
-            raise SimulationError(f"no pool {pool} in {self.topology!r}")
+            return self._pool_online[0] - demand
         free = float(self._pool_online[pool])
         for request in self._running.values():
             if request.pool == pool:
@@ -1457,8 +1484,7 @@ class Engine:
         Migration cost is modeled as zero — rates simply refresh under
         the new placement at the next recomputation."""
         if (
-            not self._hetero
-            or not 0 <= pool < self._npools
+            not 0 <= pool < self._npools
             or request.state is not RequestState.RUNNING
             or request.pool == pool
         ):
@@ -1491,149 +1517,6 @@ class Engine:
             if free[pool] > free[best] + 1e-12:
                 best = pool
         return best
-
-    def _commit_hetero(self, t: float) -> None:
-        """The heterogeneous commit: the legacy :meth:`_commit` loop
-        (same operations in the same order, so the single-pool case
-        stays bit-identical) plus the energy accumulator.
-
-        Within the interval each request's threads occupy
-        ``share_cores`` physical cores on its pool at active power;
-        the useful part is ``degree_speedup * factor`` core-equivalents
-        (zero while stalled) and the rest is spin.  Online cores with
-        no thread accrue idle energy.  Accumulation is in W·ms = mJ.
-        """
-        dt = t - self.now_ms
-        if dt > 0:
-            now = self.now_ms
-            attribution = self.attribution
-            have_faults = self.fault_plan is not None
-            busy_cores = 0.0
-            total_threads = 0
-            active_w = self._pool_active_w
-            e_active = self._e_active
-            e_spin = self._e_spin
-            pool_busy = [0.0] * self._npools
-            for request in self._running.values():
-                factor = request.share_factor
-                core_alloc = request.share_cores
-                stalled = have_faults and request.is_stalled(now)
-                useful = factor * dt
-                if attribution:
-                    if stalled:
-                        request.attr_stall_ms += dt
-                    else:
-                        request.attr_service_ms += useful
-                        slowdown = dt - useful
-                        if request.boost_pending and not request.boosted:
-                            request.attr_boost_wait_ms += slowdown
-                        else:
-                            request.attr_contention_ms += slowdown
-                request.effective_ms += useful
-                remaining = request.remaining_work - request.rate * dt
-                if remaining <= 0.0:
-                    if remaining < -1e-6:
-                        raise SimulationError(
-                            f"request {request.rid}: overshoot {remaining}"
-                        )
-                    remaining = 0.0
-                request.remaining_work = remaining
-                degree = request.degree
-                request.thread_time_ms += degree * dt
-                request.core_time_ms += core_alloc * dt
-                residency = request.degree_residency
-                try:
-                    residency[degree] += dt
-                except KeyError:
-                    residency[degree] = dt
-                busy_cores += core_alloc
-                total_threads += degree
-                # --- energy: occupied cores burn active power; the
-                # useful share is active, the remainder spin (a stalled
-                # request's threads hold their cores but retire nothing,
-                # so its whole occupancy is spin).
-                pool = request.pool
-                occupied_ms = core_alloc * dt
-                active_ms = 0.0 if stalled else request.degree_speedup * factor * dt
-                power = active_w[pool]
-                e_active[pool] += power * active_ms
-                e_spin[pool] += power * (occupied_ms - active_ms)
-                request.energy_mj += power * occupied_ms
-                pool_busy[pool] += core_alloc
-            idle_w = self._pool_idle_w
-            online = self._pool_online
-            e_idle = self._e_idle
-            for pool in range(self._npools):
-                idle_cores = online[pool] - pool_busy[pool]
-                if idle_cores > 0.0:
-                    e_idle[pool] += idle_w[pool] * idle_cores * dt
-            in_system = (
-                len(self._running) + len(self._delayed) + len(self._waiting_fifo)
-            )
-            self._metrics.observe_interval(dt, total_threads, busy_cores, in_system)
-        self.now_ms = t
-
-    def _recompute_rates_hetero(self) -> None:
-        """Per-pool fluid rates: the legacy two-pass refresh with the
-        demand sums and contention factors computed pool-by-pool, and
-        each rate scaled by its pool's speed multiplier.
-
-        The sums accumulate in running-set order (like the legacy
-        pass), so with one pool at speed 1.0 every operation — the
-        division, the min/max clamps, ``rate = s * factor * 1.0`` —
-        reduces bitwise to the homogeneous engine's.
-        """
-        self._rates_dirty = False
-        self._generation += 1
-        running = self._running
-        npools = self._npools
-        boosted_demand = [0.0] * npools
-        unboosted_demand = [0.0] * npools
-        for request in running.values():
-            if request.boosted:
-                boosted_demand[request.pool] += request.degree_demand
-            else:
-                unboosted_demand[request.pool] += request.degree_demand
-
-        online = self._pool_online
-        boosted_factor = [1.0] * npools
-        unboosted_factor = [1.0] * npools
-        for pool in range(npools):
-            cores = online[pool]
-            demand = boosted_demand[pool]
-            factor = min(1.0, cores / demand) if demand > 0 else 1.0
-            boosted_factor[pool] = factor
-            remaining_cores = cores - demand * factor
-            demand = unboosted_demand[pool]
-            if demand > 0:
-                unboosted_factor[pool] = min(
-                    1.0, max(0.0, remaining_cores) / demand
-                )
-
-        now = self.now_ms
-        have_faults = self.fault_plan is not None
-        speeds = self._pool_speeds
-        earliest = _INF
-        for request in running.values():
-            pool = request.pool
-            factor = (
-                boosted_factor[pool] if request.boosted else unboosted_factor[pool]
-            )
-            request.share_factor = factor
-            request.share_cores = request.degree_demand * factor
-            rate = request.degree_speedup * factor * speeds[pool]
-            if have_faults and request.is_stalled(now):
-                rate = 0.0
-            request.rate = rate
-            if rate > 0.0:
-                eta = now + request.remaining_work / rate
-                if eta < earliest:
-                    earliest = eta
-        if earliest < _INF:
-            self._queue.push(
-                max(earliest, now),
-                Event(EventKind.COMPLETION, generation=self._generation),
-            )
 
     def _build_energy_report(self) -> EnergyReport:
         """Convert the W·ms accumulators into the per-pool report and

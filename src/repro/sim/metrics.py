@@ -76,8 +76,8 @@ class RequestRecord:
     stall_ms: float = 0.0
     #: Heterogeneous-topology accounting (``repro.hetero``): the pool
     #: the request finished on, the joules its execution drew, and how
-    #: many cross-pool migrations it took.  All zero on the legacy
-    #: homogeneous path (no energy model is defined there).
+    #: many cross-pool migrations it took.  All zero on a run without
+    #: a topology (no energy model is defined there).
     pool: int = 0
     energy_j: float = 0.0
     migrations: int = 0
@@ -177,7 +177,7 @@ class MetricsCollector:
         self._observed_ms = 0.0
         self._thread_residency: dict[int, float] = {}
         #: Set by the engine at end of run on a heterogeneous topology;
-        #: stays ``None`` on the legacy homogeneous path.
+        #: stays ``None`` on a run without a topology.
         self.energy_report: EnergyReport | None = None
 
     def observe_interval(

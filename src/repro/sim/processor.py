@@ -25,28 +25,14 @@ budget keeps boosted threads below the core count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.request import SimRequest
 
-__all__ = ["ThreadAllocation", "occupancy", "compute_shares", "BoostController"]
-
-
-@dataclass(frozen=True, slots=True)
-class ThreadAllocation:
-    """Per-request outcome of one allocation round.
-
-    ``progress_factor`` multiplies the request's speedup (1.0 = no
-    contention); ``core_alloc`` is the total physical-core share the
-    request's threads consume (for utilization accounting).
-    """
-
-    progress_factor: float
-    core_alloc: float
+__all__ = ["occupancy", "share_factors", "BoostController"]
 
 
 def occupancy(speedup: float, degree: int, spin_fraction: float) -> float:
@@ -58,40 +44,25 @@ def occupancy(speedup: float, degree: int, spin_fraction: float) -> float:
     return speedup + spin_fraction * (degree - speedup)
 
 
-def compute_shares(
-    running: Iterable["SimRequest"], cores: int, spin_fraction: float = 0.25
-) -> dict[int, ThreadAllocation]:
-    """Allocate cores to every running request.
+def share_factors(
+    cores: float, boosted_demand: float, unboosted_demand: float
+) -> tuple[float, float]:
+    """The contention factors ``(boosted, unboosted)`` of one pool of
+    ``cores`` cores: each request's speed is its speedup times its
+    class's factor, and its core share its occupancy times the factor.
 
-    Returns ``{rid: ThreadAllocation}``.  Boosted requests' occupancy is
-    satisfied first (they never slow down while the boost invariant
-    holds); unboosted requests share the remaining capacity, scaling
-    down proportionally when oversubscribed.
+    Boosted occupancy is satisfied first (boosted requests never slow
+    down while the boost invariant holds); unboosted requests share the
+    remaining capacity, scaling down proportionally when
+    oversubscribed.  A class with no demand gets factor 1.0.
     """
-    if not 0.0 <= spin_fraction <= 1.0:
-        raise SimulationError(f"spin_fraction must be in [0, 1]: {spin_fraction}")
-    requests = list(running)
-    demands = {
-        r.rid: occupancy(r.speedup.speedup(r.degree), r.degree, spin_fraction)
-        for r in requests
-    }
-    boosted_demand = sum(demands[r.rid] for r in requests if r.boosted)
-    unboosted_demand = sum(demands[r.rid] for r in requests if not r.boosted)
-
     boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
-    remaining = cores - boosted_demand * boosted_factor
+    remaining_cores = cores - boosted_demand * boosted_factor
     if unboosted_demand > 0:
-        unboosted_factor = min(1.0, max(0.0, remaining) / unboosted_demand)
+        unboosted_factor = min(1.0, max(0.0, remaining_cores) / unboosted_demand)
     else:
         unboosted_factor = 1.0
-
-    out: dict[int, ThreadAllocation] = {}
-    for request in requests:
-        factor = boosted_factor if request.boosted else unboosted_factor
-        out[request.rid] = ThreadAllocation(
-            progress_factor=factor, core_alloc=demands[request.rid] * factor
-        )
-    return out
+    return boosted_factor, unboosted_factor
 
 
 class BoostController:

@@ -129,9 +129,9 @@ class SimRequest:
         #: Wall time frozen by injected worker stalls.
         self.attr_stall_ms = 0.0
         #: Engine-managed allocation state, refreshed by the fluid-rate
-        #: machinery: the current contention factor and physical-core
-        #: share (what :class:`~repro.sim.processor.ThreadAllocation`
-        #: carries, stored inline to avoid per-event dict churn) ...
+        #: machinery: the current contention factor (from
+        #: :func:`~repro.sim.processor.share_factors`) and physical-core
+        #: share, stored inline to avoid per-event dict churn ...
         self.share_factor = 0.0
         self.share_cores = 0.0
         #: ... and the per-degree caches — ``s(degree)`` and occupancy
@@ -144,7 +144,7 @@ class SimRequest:
         #: pool this request's threads currently occupy, the energy its
         #: execution has drawn (accumulated in watt-ms = millijoules),
         #: and how many times a policy migrated it between pools.  All
-        #: stay at their zeros on the legacy homogeneous path.
+        #: stay at their zeros on a run without a topology.
         self.pool = 0
         self.energy_mj = 0.0
         self.migrations = 0

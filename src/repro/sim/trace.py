@@ -4,8 +4,8 @@ A :class:`TraceRecorder` wraps any :class:`~repro.sim.api.Scheduler`
 and records every decision the policy makes — admissions, delays,
 queueing, degree changes, boosts, exits — with timestamps and the load
 observed at each decision.  Traces make scheduler behaviour inspectable
-("why did request 17 climb to degree 3 at t = 210 ms?") and power the
-per-request timeline renderer used in debugging and the examples.
+("why did request 17 climb to degree 3 at t = 210 ms?"): a request's
+decisions are the spans of its lane (``examples/request_timeline.py``).
 
 The recorder is transparent: it forwards every hook to the wrapped
 policy and never changes decisions.
@@ -13,22 +13,16 @@ policy and never changes decisions.
 Decisions are recorded as *instant spans* on the ``"sim.sched"`` track
 of a :class:`~repro.telemetry.Tracer` — the unified span model shared
 with the engine's per-request spans, so a scheduler-decision trace
-exports to Chrome/Perfetto and JSONL like everything else.  Pass a
+exports to Chrome/Perfetto and JSONL like everything else.  Each span
+is named by its :class:`TraceEventKind` value, sits on the request's
+lane and carries the observed ``load`` and a ``detail`` attr.  Pass a
 :class:`~repro.telemetry.Telemetry` (or install one ambiently) to emit
 into a shared pipeline; without one the recorder owns a private tracer.
-
-.. deprecated::
-    The bespoke :class:`TraceEvent` list (:attr:`TraceRecorder.events`,
-    :meth:`timeline`, :meth:`counts`, :meth:`render`) is now a
-    compatibility shim adapted from the recorded spans; new code should
-    read ``recorder.tracer.spans`` or export through
-    :mod:`repro.telemetry.export`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any
 
 from repro.sim.api import Admission, AdmissionAction, Scheduler, SchedulerContext
@@ -36,14 +30,15 @@ from repro.sim.request import SimRequest
 from repro.telemetry import Telemetry, Tracer, resolve_telemetry
 from repro.telemetry.clock import ManualClock
 
-__all__ = ["TraceEventKind", "TraceEvent", "TraceRecorder"]
+__all__ = ["TraceEventKind", "TraceRecorder"]
 
 #: Track name the recorder's decision instants live on.
 SCHED_TRACK = "sim.sched"
 
 
 class TraceEventKind(enum.Enum):
-    """Decision points captured by the recorder."""
+    """Decision points captured by the recorder; the values name its
+    instant spans."""
 
     ADMIT = "admit"
     DELAY = "delay"
@@ -51,24 +46,6 @@ class TraceEventKind(enum.Enum):
     DEGREE_UP = "degree_up"
     BOOST = "boost"
     EXIT = "exit"
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded decision (compatibility view over an instant span)."""
-
-    time_ms: float
-    kind: TraceEventKind
-    request_id: int
-    load: int
-    detail: Any = None
-
-    def describe(self) -> str:
-        """Human-readable one-liner."""
-        base = f"t={self.time_ms:9.2f}ms  q={self.load:3d}  r{self.request_id:<5d} {self.kind.value}"
-        if self.detail is not None:
-            base += f" {self.detail}"
-        return base
 
 
 class TraceRecorder(Scheduler):
@@ -160,45 +137,3 @@ class TraceRecorder(Scheduler):
             f"latency={request.latency_ms:.1f}ms d{request.degree}",
         )
         self.inner.on_exit(ctx, request)
-
-    # ------------------------------------------------------------------
-    # Compatibility shim (deprecated: read ``tracer.spans`` instead)
-    # ------------------------------------------------------------------
-    @property
-    def events(self) -> list[TraceEvent]:
-        """The recorded decisions as :class:`TraceEvent` objects.
-
-        .. deprecated:: adapted from the span model for callers of the
-           original event-list API; prefer ``tracer.spans``.
-        """
-        return [
-            TraceEvent(
-                time_ms=span.start_ms,
-                kind=TraceEventKind(span.name),
-                request_id=span.lane,
-                load=span.attrs["load"],
-                detail=span.attrs.get("detail"),
-            )
-            for span in self.tracer.spans
-            if span.track == SCHED_TRACK
-        ]
-
-    def timeline(self, request_id: int) -> list[TraceEvent]:
-        """All recorded events of one request, in time order."""
-        return [e for e in self.events if e.request_id == request_id]
-
-    def counts(self) -> dict[TraceEventKind, int]:
-        """Event counts by kind — a quick behavioural fingerprint."""
-        out: dict[TraceEventKind, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
-
-    def render(self, limit: int | None = None) -> str:
-        """Human-readable trace dump (optionally truncated)."""
-        events = self.events
-        shown = events if limit is None else events[:limit]
-        lines = [event.describe() for event in shown]
-        if limit is not None and len(events) > limit:
-            lines.append(f"... ({len(events) - limit} more events)")
-        return "\n".join(lines)

@@ -25,7 +25,8 @@ from repro.schedulers import FixedScheduler, FMScheduler
 from repro.sim import Engine, simulate
 from repro.sim._baseline import simulate_baseline
 from repro.sim.api import Admission, Scheduler
-from tests.sim.test_engine import _arrivals
+from repro.sim.processor import occupancy
+from tests.sim.test_engine import _CURVE, _arrivals
 from tests.sim.test_engine_equivalence import (
     _SCHEDULER_FACTORIES,
     _assert_identical,
@@ -88,6 +89,48 @@ class TestSinglePoolBitIdentity:
         assert [r.finish_ms for r in hetero.records] == [
             r.finish_ms for r in legacy.records
         ]
+
+
+class _FreeCoresProbe(Scheduler):
+    """Starts every request at degree 4 and records pool 0's headroom
+    as each arrival sees it."""
+
+    name = "free-cores-probe"
+    uses_quantum = False
+
+    def __init__(self):
+        self.seen = []
+
+    def on_arrival(self, ctx, request):
+        self.seen.append(ctx.pool_free_cores(0))
+        return Admission.start(4)
+
+    def on_wait_check(self, ctx, request):
+        return Admission.start(4)
+
+
+class TestPoolFreeCores:
+    """Each kind of run keeps its own sum order: ``cores - (d1 + d2 + d3)``
+    without a topology, ``((cores - d1) - d2) - d3`` on a pool.  The two
+    round differently for three requests of occupancy 2.8."""
+
+    @pytest.mark.parametrize("topology", [None, Topology.homogeneous(6)])
+    def test_headroom_keeps_its_sum_order(self, topology):
+        demand = occupancy(_CURVE.speedup(4), 4, 0.25)
+        homogeneous = 6 - (demand + demand + demand)
+        pooled = ((6.0 - demand) - demand) - demand
+        assert homogeneous != pooled
+        probe = _FreeCoresProbe()
+        simulate(
+            _arrivals([(float(t), 1_000.0) for t in range(4)]), probe,
+            cores=6, topology=topology,
+        )
+        assert probe.seen[3] == (homogeneous if topology is None else pooled)
+
+    def test_homogeneous_engine_has_one_pool(self):
+        engine = Engine(cores=6, scheduler=FixedScheduler(2))
+        with pytest.raises(SimulationError):
+            engine.pool_free_cores(1)
 
 
 class TestTopologyValidation:

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hetero import Topology
 from repro.observe.analyze import analyze_spans
 from repro.observe.anomaly import ChangepointDetector
 from repro.observe.live import LivePlane, events_from_spans, replay_spans
 from repro.observe.slo import SLOMonitor, SLOTarget
-from repro.schedulers import FixedScheduler, FMScheduler
-from repro.sim.engine import simulate
+from repro.schedulers import FixedScheduler, FMScheduler, HurryUpScheduler
+from repro.sim.engine import Engine, simulate
+from repro.sim.stream import StreamingCollector
 from repro.telemetry import Telemetry
 from repro.workloads.arrivals import PoissonProcess
 
@@ -199,6 +201,44 @@ class TestEngineWiring:
         assert [r.finish_ms for r in bare.records] == [
             r.finish_ms for r in observed.records
         ]
+
+    @pytest.mark.parametrize("placement", ["homogeneous", "big_little"])
+    def test_streaming_collector_feeds_the_same_windows(
+        self, tiny_workload, placement
+    ):
+        """A plane on a streamed run, whose collector keeps no records,
+        sees exactly the windows of a full-record run."""
+        arrivals = self._arrivals(tiny_workload)
+        if placement == "big_little":
+            scheduler, topology = HurryUpScheduler, Topology.big_little(big=2, little=2)
+        else:
+            scheduler, topology = lambda: FixedScheduler(2), None
+        runs = []
+        for streamed in (False, True):
+            plane = LivePlane(window_ms=100.0, capacity=4096, exemplars=4)
+            result = Engine(
+                4, scheduler(), topology=topology, live=plane,
+                collector=StreamingCollector(4) if streamed else None,
+            ).run(iter(arrivals) if streamed else arrivals)
+            runs.append(plane.windows())
+            if not streamed:
+                records = {record.rid: record for record in result.records}
+        full, streamed = (
+            [(repr(w.to_dict()), w.latency.state()) for w in windows]
+            for windows in runs
+        )
+        assert streamed == full
+        # The exemplars carry a completion's floats as fed: its record's.
+        exemplars = [e for window in runs[0] for e in window.exemplars]
+        assert exemplars
+        for exemplar in exemplars:
+            record = records[exemplar.rid]
+            assert exemplar.latency_ms == record.latency_ms
+            assert exemplar.components == record.attribution()
+            assert exemplar.energy_j == record.energy_j
+            if topology is not None:
+                assert exemplar.energy_j > 0.0
+                assert exemplar.pool == topology[record.pool].name
 
 
 class TestReplay:

@@ -264,6 +264,11 @@ class TestEngineValidation:
         with pytest.raises(SimulationError):
             Engine(cores=2, scheduler=SequentialScheduler(), quantum_ms=0.0)
 
+    @pytest.mark.parametrize("spin", [1.5, -0.1])
+    def test_rejects_bad_spin(self, spin):
+        with pytest.raises(SimulationError):
+            Engine(cores=4, scheduler=SequentialScheduler(), spin_fraction=spin)
+
     def test_unsorted_arrivals_accepted(self):
         specs = _arrivals([(50.0, 10.0), (0.0, 10.0)])
         result = simulate(specs, SequentialScheduler(), cores=2)

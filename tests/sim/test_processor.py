@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.speedup import TabulatedSpeedup
 from repro.errors import SimulationError
-from repro.sim.processor import BoostController, compute_shares, occupancy
+from repro.sim.processor import BoostController, occupancy, share_factors
 from repro.sim.request import SimRequest
 
 _CURVE = TabulatedSpeedup([1.0, 1.6, 2.0, 2.4])
@@ -40,44 +40,50 @@ class TestOccupancy:
             occupancy(0.5, 1, 0.25)
 
 
-class TestComputeShares:
+def _shares(requests, cores, spin):
+    """``(factor, core share)`` per request, under the engine's rule:
+    occupancy demands summed per class, factors from share_factors."""
+    demands = [occupancy(r.speedup.speedup(r.degree), r.degree, spin) for r in requests]
+    boosted = sum(d for r, d in zip(requests, demands) if r.boosted)
+    unboosted = sum(d for r, d in zip(requests, demands) if not r.boosted)
+    boosted_factor, unboosted_factor = share_factors(cores, boosted, unboosted)
+    factors = [boosted_factor if r.boosted else unboosted_factor for r in requests]
+    return [(f, d * f) for f, d in zip(factors, demands)]
+
+
+class TestShareFactors:
     def test_uncontended_runs_full_speed(self):
         reqs = [_running(1, 0), _running(2, 1)]
-        shares = compute_shares(reqs, cores=8, spin_fraction=0.25)
-        assert all(a.progress_factor == pytest.approx(1.0) for a in shares.values())
+        shares = _shares(reqs, cores=8, spin=0.25)
+        assert all(factor == pytest.approx(1.0) for factor, _ in shares)
 
     def test_oversubscription_scales_down_proportionally(self):
         # occupancy per request = 2.4 + 0.25 * (4 - 2.4) = 2.8
         reqs = [_running(4, rid) for rid in range(4)]
-        shares = compute_shares(reqs, cores=5, spin_fraction=0.25)
-        for alloc in shares.values():
-            assert alloc.progress_factor == pytest.approx(5.0 / 11.2)
-            assert alloc.core_alloc == pytest.approx(2.8 * 5.0 / 11.2)
+        for factor, share in _shares(reqs, cores=5, spin=0.25):
+            assert factor == pytest.approx(5.0 / 11.2)
+            assert share == pytest.approx(2.8 * 5.0 / 11.2)
 
     def test_total_core_alloc_never_exceeds_cores(self):
         reqs = [_running(4, rid) for rid in range(10)]
-        shares = compute_shares(reqs, cores=6, spin_fraction=0.25)
-        assert sum(a.core_alloc for a in shares.values()) <= 6.0 + 1e-9
+        shares = _shares(reqs, cores=6, spin=0.25)
+        assert sum(share for _, share in shares) <= 6.0 + 1e-9
 
     def test_boosted_requests_keep_full_speed(self):
         boosted = _running(4, 0, boosted=True)
         others = [_running(4, rid) for rid in range(1, 8)]
-        shares = compute_shares([boosted, *others], cores=6, spin_fraction=0.25)
-        assert shares[0].progress_factor == pytest.approx(1.0)
-        assert shares[1].progress_factor < 1.0
+        shares = _shares([boosted, *others], cores=6, spin=0.25)
+        assert shares[0][0] == pytest.approx(1.0)
+        assert shares[1][0] < 1.0
 
     def test_boosted_capacity_comes_off_the_top(self):
         boosted = _running(4, 0, boosted=True)  # occupancy 2.8
         other = _running(4, 1)
-        shares = compute_shares([boosted, other], cores=4, spin_fraction=0.25)
-        assert shares[1].progress_factor == pytest.approx(1.2 / 2.8)
+        shares = _shares([boosted, other], cores=4, spin=0.25)
+        assert shares[1][0] == pytest.approx(1.2 / 2.8)
 
     def test_empty_system(self):
-        assert compute_shares([], cores=4) == {}
-
-    def test_rejects_bad_spin(self):
-        with pytest.raises(SimulationError):
-            compute_shares([], cores=4, spin_fraction=1.5)
+        assert share_factors(4, 0.0, 0.0) == (1.0, 1.0)
 
     @given(
         degrees=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12),
@@ -87,11 +93,10 @@ class TestComputeShares:
     @settings(max_examples=100)
     def test_invariants(self, degrees, cores, spin):
         reqs = [_running(d, rid) for rid, d in enumerate(degrees)]
-        shares = compute_shares(reqs, cores=cores, spin_fraction=spin)
-        total = sum(a.core_alloc for a in shares.values())
-        assert total <= cores + 1e-9
-        for alloc in shares.values():
-            assert 0.0 <= alloc.progress_factor <= 1.0 + 1e-9
+        shares = _shares(reqs, cores=cores, spin=spin)
+        assert sum(share for _, share in shares) <= cores + 1e-9
+        for factor, _ in shares:
+            assert 0.0 <= factor <= 1.0 + 1e-9
 
 
 class TestBoostController:

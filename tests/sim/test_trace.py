@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core.schedule import Schedule, ScheduleStep
 from repro.core.speedup import TabulatedSpeedup
 from repro.core.table import IntervalTable
 from repro.schedulers import FMScheduler, SequentialScheduler
 from repro.sim.engine import ArrivalSpec, simulate
-from repro.sim.trace import TraceEventKind, TraceRecorder
+from repro.sim.trace import SCHED_TRACK, TraceEventKind, TraceRecorder
 
 _CURVE = TabulatedSpeedup([1.0, 1.5, 2.0, 2.4])
 
@@ -26,6 +28,14 @@ def _fm_table() -> IntervalTable:
     )
 
 
+def _decisions(recorder: TraceRecorder):
+    return recorder.tracer.by_track(SCHED_TRACK)
+
+
+def _counts(recorder: TraceRecorder) -> Counter:
+    return Counter(TraceEventKind(span.name) for span in _decisions(recorder))
+
+
 class TestTraceRecorder:
     def test_transparent_results(self):
         """Tracing must not change the simulation outcome."""
@@ -39,38 +49,41 @@ class TestTraceRecorder:
     def test_records_admissions_and_exits(self):
         recorder = TraceRecorder(SequentialScheduler())
         simulate([_spec(0.0, 50.0), _spec(5.0, 50.0)], recorder, cores=4)
-        counts = recorder.counts()
+        counts = _counts(recorder)
         assert counts[TraceEventKind.ADMIT] == 2
         assert counts[TraceEventKind.EXIT] == 2
 
     def test_records_degree_climbs_and_boosts(self):
         recorder = TraceRecorder(FMScheduler(_fm_table()))
         simulate([_spec(0.0, 400.0)], recorder, cores=8, quantum_ms=5.0)
-        counts = recorder.counts()
-        assert counts.get(TraceEventKind.DEGREE_UP, 0) >= 2  # d1->d2->d4
-        timeline = recorder.timeline(0)
-        kinds = [e.kind for e in timeline]
+        assert _counts(recorder)[TraceEventKind.DEGREE_UP] >= 2  # d1->d2->d4
+        timeline = [span for span in _decisions(recorder) if span.lane == 0]
+        kinds = [TraceEventKind(span.name) for span in timeline]
         assert kinds[0] is TraceEventKind.ADMIT
         assert kinds[-1] is TraceEventKind.EXIT
 
     def test_records_queueing(self):
         recorder = TraceRecorder(FMScheduler(_fm_table()))
         simulate([_spec(0.0, 100.0)] * 3, recorder, cores=8, quantum_ms=5.0)
-        assert recorder.counts().get(TraceEventKind.QUEUE, 0) >= 1
+        assert _counts(recorder)[TraceEventKind.QUEUE] >= 1
 
-    def test_render_and_limit(self):
+    def test_decisions_are_instants_with_load_and_detail(self):
         recorder = TraceRecorder(SequentialScheduler())
         simulate([_spec(0.0, 50.0)] * 4, recorder, cores=8)
-        text = recorder.render(limit=2)
-        assert "more events" in text
-        assert len(recorder.render().splitlines()) == len(recorder.events)
+        decisions = _decisions(recorder)
+        assert len(decisions) == 8  # an admit and an exit per request
+        for span in decisions:
+            assert span.kind == "instant" and span.duration_ms == 0.0
+            assert span.attrs["detail"]
+            if span.name == TraceEventKind.ADMIT.value:
+                assert span.attrs["load"] >= 1  # the candidate counts itself
 
-    def test_reset_clears_events(self):
+    def test_reset_clears_decisions(self):
         recorder = TraceRecorder(SequentialScheduler())
         simulate([_spec(0.0, 50.0)], recorder, cores=4)
-        assert recorder.events
+        assert _decisions(recorder)
         recorder.reset()
-        assert recorder.events == []
+        assert recorder.tracer.spans == []
 
     def test_name_and_quantum_passthrough(self):
         recorder = TraceRecorder(SequentialScheduler())

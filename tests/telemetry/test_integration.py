@@ -153,18 +153,19 @@ class TestTraceRecorderIntegration:
         assert {"sim", SCHED_TRACK} <= tracks
         assert recorder.tracer is telemetry.tracer
 
-    def test_shim_events_reflect_shared_spans(self):
+    def test_decisions_land_on_the_shared_tracer(self):
         telemetry = Telemetry()
         recorder = TraceRecorder(SequentialScheduler(), telemetry=telemetry)
         simulate(_specs([(0.0, 50.0)]), recorder, cores=4, telemetry=telemetry)
-        assert [e.kind.value for e in recorder.events] == ["admit", "exit"]
+        decisions = telemetry.tracer.by_track(SCHED_TRACK)
+        assert [span.name for span in decisions] == ["admit", "exit"]
 
     def test_reset_shared_removes_only_scheduler_track(self):
         telemetry = Telemetry()
         recorder = TraceRecorder(SequentialScheduler(), telemetry=telemetry)
         simulate(_specs([(0.0, 50.0)]), recorder, cores=4, telemetry=telemetry)
         recorder.reset()
-        assert recorder.events == []
+        assert telemetry.tracer.by_track(SCHED_TRACK) == []
         assert telemetry.tracer.by_track("sim"), "engine spans must survive"
 
 
