@@ -158,6 +158,11 @@ class Topology:
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate pool names: {names}")
         self.pools: tuple[CorePool, ...] = pools
+        # Pools are frozen, so their speeds are read once, not on every
+        # scheduler tick that asks for the fastest pool.
+        speeds = [pool.effective_speed for pool in pools]
+        self._fastest = speeds.index(max(speeds))
+        self._slowest = len(speeds) - 1 - speeds[::-1].index(min(speeds))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -252,14 +257,14 @@ class Topology:
     @property
     def fastest_pool(self) -> int:
         """Index of the highest-speed pool (first wins ties)."""
-        speeds = [pool.effective_speed for pool in self.pools]
-        return speeds.index(max(speeds))
+        return self._fastest
 
     @property
     def slowest_pool(self) -> int:
-        """Index of the lowest-speed pool (first wins ties)."""
-        speeds = [pool.effective_speed for pool in self.pools]
-        return speeds.index(min(speeds))
+        """Index of the lowest-speed pool (last wins ties: the little
+        cluster in the big-first order, so equal-speed pools still split
+        into a big and a little one)."""
+        return self._slowest
 
     def equivalent_capacity(self) -> float:
         """Total speed-weighted core capacity (1.0x core equivalents)."""

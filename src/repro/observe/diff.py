@@ -107,17 +107,24 @@ def bootstrap_quantiles(
     rank ``ceil(phi * n)`` — the same convention as
     :meth:`LogHistogram.percentile`, so replicate values live on the
     exact representative grid the point estimate does.
+
+    Every replicate's ranks are read in one ``searchsorted``: a row's
+    running counts lie in ``[0, n]``, so shifting row ``r`` and its
+    ranks by ``r * (n + 1)`` lays the rows end to end as one sorted
+    array, and a rank's index there, less ``r`` rows of buckets, is
+    that row's own ``searchsorted(..., side="left")`` index.
     """
     reps, counts = _points_arrays(histogram)
     n = int(counts.sum())
     draws = rng.multinomial(n, counts / n, size=resamples)
     cumulative = np.cumsum(draws, axis=1)
     ranks = np.maximum(1, np.ceil(np.asarray(phis, dtype=float) * n)).astype(np.int64)
-    out = np.empty((resamples, len(ranks)), dtype=float)
-    for row in range(resamples):
-        indexes = np.searchsorted(cumulative[row], ranks, side="left")
-        out[row] = reps[np.minimum(indexes, len(reps) - 1)]
-    return out
+    rows = np.arange(resamples, dtype=np.int64)[:, None]
+    shift = rows * (n + 1)
+    indexes = np.searchsorted(
+        (cumulative + shift).ravel(), ranks + shift, side="left"
+    ) - rows * len(reps)
+    return reps[np.minimum(indexes, len(reps) - 1)]
 
 
 def bootstrap_means(

@@ -310,6 +310,9 @@ class Engine:
         #: attribute check per completion when absent.
         self._live = live
         self._run_spans: dict[int, Span] = {}
+        #: The completion counter and histograms, resolved at the first
+        #: completion (see :meth:`_finish_telemetry`).
+        self._instruments: tuple | None = None
 
         #: Core pools (repro.hetero), by position.  A run without a
         #: topology is one pool of every core at speed 1.0; a topology
@@ -617,10 +620,15 @@ class Engine:
             request.finish(self.now_ms)
             del self._running[request.rid]
             self._metrics.record(request)  # snapshot before boost release
-            if self.telemetry is not None:
-                self._finish_telemetry(request)  # span needs boosted flag too
-            if self._live is not None:
-                self._feed_live(request)
+            if self.telemetry is not None or self._live is not None:
+                # One attribution dict feeds the run span, the registry
+                # and the live plane; neither sink changes it.
+                components = _attribution(request) if self.attribution else None
+                if self.telemetry is not None:
+                    # before the release: the span needs the boosted flag
+                    self._finish_telemetry(request, components)
+                if self._live is not None:
+                    self._feed_live(request, components)
             self.boost.release(request)
             self._completed += 1
             self.scheduler.on_exit(self._ctx, request)
@@ -637,14 +645,16 @@ class Engine:
         self._rates_dirty = True
         self._wake_waiters(exits=len(finished))
 
-    def _feed_live(self, request: SimRequest) -> None:
+    def _feed_live(
+        self, request: SimRequest, components: dict[str, float] | None
+    ) -> None:
         """Feed a finished request into the live plane's window stream,
         with the floats its :class:`RequestRecord` carries (read off the
         request, as a streaming collector keeps no records)."""
         self._live.observe(
             at_ms=request.finish_ms,
             latency_ms=request.finish_ms - request.arrival_ms,
-            components=_attribution(request) if self.attribution else None,
+            components=components,
             energy_j=request.energy_mj / 1000.0,
             pool=self._pool_names[request.pool] if self._hetero else "",
             rid=request.rid,
@@ -835,26 +845,44 @@ class Engine:
                 degree=request.degree,
             )
 
-    def _finish_telemetry(self, request: SimRequest) -> None:
-        """Close a completed request's run span and update metrics."""
+    def _finish_telemetry(
+        self, request: SimRequest, components: dict[str, float] | None
+    ) -> None:
+        """Close a completed request's run span and update metrics.
+
+        ``components`` is the request's attribution (``None`` with
+        attribution off).  The run span carries the full decomposition
+        so offline trace analysis (`repro analyze`) can attribute the
+        tail without the RequestRecords.
+        """
         telemetry = self.telemetry
-        telemetry.metrics.counter("sim.completions").inc()
-        telemetry.metrics.histogram("sim.latency_ms").record(request.latency_ms)
-        attrs: dict[str, object] = {}
-        if self.attribution:
-            # The run span carries the full decomposition so offline
-            # trace analysis (`repro analyze`) can attribute the tail
-            # without the RequestRecords.
-            attrs = _attribution(request)
+        instruments = self._instruments
+        if instruments is None:
+            # Created in the order the per-completion lookups used to
+            # create them, so the registry, its windows and the export
+            # keep their instrument order.
             metrics = telemetry.metrics
-            for name, value in attrs.items():
-                metrics.histogram("sim.attr." + name).record(value)
+            instruments = self._instruments = (
+                metrics.counter("sim.completions"),
+                metrics.histogram("sim.latency_ms"),
+                [metrics.histogram("sim.attr." + name) for name in components or ()],
+                metrics.histogram("sim.energy.request_j") if self._hetero else None,
+            )
+        completions, latency, by_component, energy = instruments
+        completions.inc()
+        latency.record(request.latency_ms)
+        if components is not None:
+            for histogram, value in zip(by_component, components.values()):
+                histogram.record(value)
+        extra: dict[str, object] = {}
         if self._hetero:
             energy_j = request.energy_mj / 1000.0
-            telemetry.metrics.histogram("sim.energy.request_j").record(energy_j)
-            attrs["energy_j"] = energy_j
-            attrs["pool"] = self._pool_names[request.pool]
-            attrs["migrations"] = request.migrations
+            energy.record(energy_j)
+            extra = {
+                "energy_j": energy_j,
+                "pool": self._pool_names[request.pool],
+                "migrations": request.migrations,
+            }
         span = self._run_spans.pop(request.rid, None)
         if span is not None:
             telemetry.tracer.end(
@@ -862,7 +890,8 @@ class Engine:
                 latency_ms=request.latency_ms,
                 degree=request.degree,
                 boosted=request.boosted,
-                **attrs,
+                **(components or {}),
+                **extra,
             )
 
     def _wake_waiters(self, exits: int) -> None:

@@ -25,6 +25,18 @@ Percentiles use the order-statistic rank ``ceil(q * n)`` — the same
 convention as :func:`repro.core.formulas.weighted_order_statistic` and
 the paper's tail-latency definition.
 
+**Reads cost per query, not per bucket.**  The sorted bucket indexes
+and their running counts are cached, keyed on the sample count they
+were built at; every mutation raises the count, so recording never
+invalidates anything and a query on an unchanged histogram is one
+``bisect``.  A :meth:`~LogHistogram.copy` *marks its source*: from
+then on the source keeps the set of buckets touched since its newest
+copy, and the next copy carries that set plus a weak link to the copy
+it follows, so :meth:`~LogHistogram.slice_since` between consecutive
+copies walks only the touched buckets.  A C-level total check proves
+the set covers every change; any other pair falls back to the full
+scan.
+
 **Empty-quantile contract.** Monitoring surfaces — this class,
 :class:`repro.runtime.server.LiveServerStats`, and
 :class:`repro.observe.slo.SLOMonitor` — return ``math.nan`` from
@@ -42,11 +54,30 @@ pick the side that matches how it is read, and say so in its docstring.
 from __future__ import annotations
 
 import math
+import weakref
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
 from repro.errors import ConfigurationError
 
 __all__ = ["LogHistogram"]
+
+#: The slots that make up a histogram's value; the rest are caches and
+#: copy links, rebuilt or dropped on unpickling.
+_STATE_SLOTS = (
+    "relative_error",
+    "min_trackable",
+    "_gamma",
+    "_log_gamma",
+    "_rep_factor",
+    "_buckets",
+    "_zero_count",
+    "_count",
+    "_sum",
+    "_min",
+    "_max",
+)
 
 
 class LogHistogram:
@@ -63,18 +94,21 @@ class LogHistogram:
         resolved (a latency below a nanosecond is noise, not signal).
     """
 
-    __slots__ = (
-        "relative_error",
-        "min_trackable",
-        "_gamma",
-        "_log_gamma",
-        "_rep_factor",
-        "_buckets",
-        "_zero_count",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
+    __slots__ = _STATE_SLOTS + (
+        # (count, sorted indexes, their counts, running counts from the
+        # zero bucket's): the cumulative order, valid while _count
+        # equals its first field.
+        "_order",
+        # Bucket indexes touched since the newest copy; None until the
+        # first copy, so a never-copied histogram tracks nothing.
+        "_touched",
+        # (weak reference to the newest copy, its count at the copy),
+        # for the next copy's link.
+        "_last_copy",
+        # On a copy: (weak reference to the copy it follows, that copy's
+        # count, the indexes the source touched in between), else None.
+        "_link",
+        "__weakref__",
     )
 
     def __init__(
@@ -101,6 +135,23 @@ class LogHistogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
+        self._order = None
+        self._touched = None
+        self._last_copy = None
+        self._link = None
+
+    def __getstate__(self) -> dict:
+        # Weak references do not pickle; an unpickled histogram starts
+        # unmarked and unlinked, so its first slice takes the full scan.
+        return {name: getattr(self, name) for name in _STATE_SLOTS}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._order = None
+        self._touched = None
+        self._last_copy = None
+        self._link = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -116,6 +167,9 @@ class LogHistogram:
         else:
             index = math.floor(math.log(value) / self._log_gamma)
             self._buckets[index] = self._buckets.get(index, 0) + count
+            touched = self._touched
+            if touched is not None:
+                touched.add(index)
         self._count += count
         self._sum += value * count
         if value < self._min:
@@ -124,9 +178,51 @@ class LogHistogram:
             self._max = value
 
     def record_many(self, values: Iterable[float]) -> None:
-        """Record every value in an iterable."""
-        for value in values:
-            self.record(value)
+        """Record every value in an iterable.
+
+        The same result as :meth:`record` per value, bit for bit: each
+        value's operations run in :meth:`record`'s order (``sum`` adds
+        every value in turn), and a value that raises leaves the
+        values before it recorded.
+        """
+        buckets = self._buckets
+        touched = self._touched
+        log = math.log
+        floor = math.floor
+        log_gamma = self._log_gamma
+        min_trackable = self.min_trackable
+        zero = self._zero_count
+        count = self._count
+        total = self._sum
+        low = self._min
+        high = self._max
+        try:
+            for value in values:
+                if value < 0:
+                    raise ConfigurationError(
+                        f"histogram values must be >= 0: {value}"
+                    )
+                if value < min_trackable:
+                    zero += 1
+                else:
+                    index = floor(log(value) / log_gamma)
+                    buckets[index] = buckets.get(index, 0) + 1
+                    if touched is not None:
+                        touched.add(index)
+                count += 1
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+        finally:
+            # The zero bucket before the count, as in record(): a
+            # concurrent reader never sees a count its buckets lack.
+            self._zero_count = zero
+            self._count = count
+            self._sum = total
+            self._min = low
+            self._max = high
 
     # ------------------------------------------------------------------
     # Queries
@@ -168,20 +264,38 @@ class LogHistogram:
             raise ConfigurationError(f"quantile must be in [0, 1]: {q}")
         if self._count == 0:
             return math.nan
-        rank = max(1, math.ceil(q * self._count))
-        cumulative = self._zero_count
-        if rank <= cumulative:
-            return 0.0
-        for index in sorted(self._buckets):
-            cumulative += self._buckets[index]
-            if rank <= cumulative:
-                representative = self._gamma**index * self._rep_factor
-                return min(max(representative, self._min), self._max)
-        return self._max  # pragma: no cover - counts always sum to _count
+        count, indexes, _, running = self._cumulative()
+        rank = max(1, math.ceil(q * count))
+        position = bisect_left(running, rank)
+        if position == 0:
+            return 0.0  # the rank falls in the zero bucket
+        if position > len(indexes):  # pragma: no cover - a copy raced by a record
+            return self._max
+        representative = self._gamma ** indexes[position - 1] * self._rep_factor
+        return min(max(representative, self._min), self._max)
 
     def percentiles(self, qs: Iterable[float]) -> list[float]:
         """Vectorized :meth:`percentile`."""
         return [self.percentile(q) for q in qs]
+
+    def _cumulative(self) -> tuple:
+        """The cached cumulative order for the current ``_count``."""
+        count = self._count
+        order = self._order
+        if order is None or order[0] != count:
+            order = self._order = self._build_order(count)
+        return order
+
+    def _build_order(self, count: int) -> tuple:
+        # ``count`` is read before the buckets, and record() adds to a
+        # bucket before the count, so under a concurrent record the
+        # buckets hold at least ``count`` samples: a rank never runs
+        # off the end of the running counts.
+        zero = self._zero_count
+        buckets = self._buckets
+        indexes = sorted(buckets)
+        counts = list(map(buckets.__getitem__, indexes))
+        return (count, indexes, counts, list(accumulate(counts, initial=zero)))
 
     # ------------------------------------------------------------------
     # Snapshots and window slices (the live-plane surface, DESIGN.md §13)
@@ -193,6 +307,12 @@ class LogHistogram:
         a cumulative histogram into per-window slices without touching
         the recording hot path: :meth:`copy` at each window boundary,
         :meth:`slice_since` the previous snapshot.
+
+        A copy marks its source: the source then keeps the set of
+        bucket indexes touched since this copy, and its next copy
+        carries that set and a weak link to this one, so slicing the
+        next copy against this one costs per touched bucket.  The link
+        is weak: a copy never keeps an older copy alive.
         """
         out = LogHistogram(self.relative_error, self.min_trackable)
         out._buckets = dict(self._buckets)
@@ -201,6 +321,10 @@ class LogHistogram:
         out._sum = self._sum
         out._min = self._min
         out._max = self._max
+        touched, self._touched = self._touched, set()
+        if touched is not None:
+            out._link = (*self._last_copy, touched)
+        self._last_copy = (weakref.ref(out), out._count)
         return out
 
     def state(self) -> tuple:
@@ -212,10 +336,11 @@ class LogHistogram:
         (windows merged in shard-index order reproduce the same state
         regardless of worker count) is audited against.
         """
+        _, indexes, counts, _ = self._cumulative()
         return (
             self.relative_error,
             self.min_trackable,
-            tuple(sorted(self._buckets.items())),
+            tuple(zip(indexes, counts)),
             self._zero_count,
             self._count,
             self._sum,
@@ -238,6 +363,12 @@ class LogHistogram:
         but carrying the usual accumulated-rounding residue relative
         to summing the window's values directly (bounded by a few ULPs
         of the cumulative sum).
+
+        When ``previous`` is the copy this one's link names (consecutive
+        :meth:`copy` calls of one source), unchanged since, only the
+        buckets the source touched in between are walked, once a
+        C-level total check proves they hold every change; any other
+        pair takes the full scan, with the same result.
         """
         if previous.relative_error != self.relative_error:
             raise ConfigurationError(
@@ -250,21 +381,11 @@ class LogHistogram:
                 f"stream: previous count {previous._count} > {self._count}"
             )
         out = LogHistogram(self.relative_error, self.min_trackable)
-        for index, count in self._buckets.items():
-            delta = count - previous._buckets.get(index, 0)
-            if delta < 0:
-                raise ConfigurationError(
-                    f"bucket {index} shrank from {previous._buckets[index]} "
-                    f"to {count}: not a snapshot of the same stream"
-                )
-            if delta:
-                out._buckets[index] = delta
-        for index, count in previous._buckets.items():
-            if count and index not in self._buckets:
-                raise ConfigurationError(
-                    f"bucket {index} shrank from {count} to 0: not a "
-                    "snapshot of the same stream"
-                )
+        deltas = None
+        link = self._link
+        if link is not None and link[0]() is previous and link[1] == previous._count:
+            deltas = self._carried_deltas(previous, link[2])
+        out._buckets = self._scanned_deltas(previous) if deltas is None else deltas
         out._zero_count = self._zero_count - previous._zero_count
         if out._zero_count < 0:
             raise ConfigurationError(
@@ -282,6 +403,46 @@ class LogHistogram:
                 out._max = 0.0
         return out
 
+    def _carried_deltas(
+        self, previous: "LogHistogram", carried: set[int]
+    ) -> dict[int, int] | None:
+        """Bucket deltas over the carried indexes, or ``None`` when the
+        total check cannot prove they hold every change (a record that
+        raced the copy, a copy recorded into since)."""
+        buckets = self._buckets
+        before = previous._buckets.get
+        deltas: dict[int, int] = {}
+        moved = 0
+        for index in carried:
+            delta = buckets.get(index, 0) - before(index, 0)
+            if delta:
+                deltas[index] = delta
+                moved += delta
+        # Any uncarried bucket that moved changes this difference.
+        if sum(buckets.values()) - sum(previous._buckets.values()) != moved:
+            return None
+        return deltas
+
+    def _scanned_deltas(self, previous: "LogHistogram") -> dict[int, int]:
+        """Bucket deltas by a scan of every bucket of both histograms."""
+        deltas: dict[int, int] = {}
+        for index, count in self._buckets.items():
+            delta = count - previous._buckets.get(index, 0)
+            if delta < 0:
+                raise ConfigurationError(
+                    f"bucket {index} shrank from {previous._buckets[index]} "
+                    f"to {count}: not a snapshot of the same stream"
+                )
+            if delta:
+                deltas[index] = delta
+        for index, count in previous._buckets.items():
+            if count and index not in self._buckets:
+                raise ConfigurationError(
+                    f"bucket {index} shrank from {count} to 0: not a "
+                    "snapshot of the same stream"
+                )
+        return deltas
+
     def bucket_points(self) -> list[tuple[float, int]]:
         """The discrete distribution :meth:`percentile` answers from:
         sorted ``(representative, count)`` pairs, zero bucket first,
@@ -294,14 +455,14 @@ class LogHistogram:
         bit for bit, so a bootstrap built on them is consistent with
         the point estimates it brackets.
         """
-        points: list[tuple[float, int]] = []
-        if self._zero_count:
-            points.append((0.0, self._zero_count))
-        for index in sorted(self._buckets):
-            representative = self._gamma**index * self._rep_factor
-            points.append(
-                (min(max(representative, self._min), self._max), self._buckets[index])
-            )
+        _, indexes, counts, running = self._cumulative()
+        gamma, factor, low, high = self._gamma, self._rep_factor, self._min, self._max
+        zero = running[0]
+        points: list[tuple[float, int]] = [(0.0, zero)] if zero else []
+        points += [
+            (min(max(gamma**index * factor, low), high), count)
+            for index, count in zip(indexes, counts)
+        ]
         return points
 
     def dump_state(self) -> dict:
@@ -313,10 +474,11 @@ class LogHistogram:
         exporter) and still merge bit-identically.  Non-finite min/max
         (the empty histogram) serialize as ``None``.
         """
+        _, indexes, counts, _ = self._cumulative()
         return {
             "relative_error": self.relative_error,
             "min_trackable": self.min_trackable,
-            "buckets": {str(index): count for index, count in sorted(self._buckets.items())},
+            "buckets": dict(zip(map(str, indexes), counts)),
             "zero_count": self._zero_count,
             "count": self._count,
             "sum": self._sum,
@@ -328,7 +490,8 @@ class LogHistogram:
     def from_state(cls, data: dict) -> "LogHistogram":
         """Rebuild a histogram from :meth:`dump_state` output."""
         out = cls(data["relative_error"], data["min_trackable"])
-        out._buckets = {int(index): count for index, count in data["buckets"].items()}
+        buckets = data["buckets"]
+        out._buckets = dict(zip(map(int, buckets), buckets.values()))
         out._zero_count = data["zero_count"]
         out._count = data["count"]
         out._sum = data["sum"]
@@ -360,6 +523,8 @@ class LogHistogram:
             )
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
+        if self._touched is not None:
+            self._touched.update(other._buckets)
         self._zero_count += other._zero_count
         self._count += other._count
         self._sum += other._sum

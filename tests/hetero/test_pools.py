@@ -83,7 +83,21 @@ class TestTopology:
             (CorePool("a", 2, speed=1.5), CorePool("b", 2, speed=1.5))
         )
         assert topo.fastest_pool == 0
-        assert topo.slowest_pool == 0
+        # The slowest pool breaks ties the other way, so equal speeds
+        # still name a big (first) and a little (last) pool.
+        assert topo.slowest_pool == 1
+
+    def test_slowest_ties_break_last(self):
+        topo = Topology(
+            (
+                CorePool("a", 2, speed=1.0),
+                CorePool("b", 2, speed=2.0),
+                CorePool("c", 2, speed=1.0),
+                CorePool("d", 2, speed=2.0),
+            )
+        )
+        assert topo.fastest_pool == 1
+        assert topo.slowest_pool == 2
 
     def test_duplicate_names_raise(self):
         with pytest.raises(ConfigurationError):

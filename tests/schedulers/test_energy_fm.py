@@ -103,6 +103,19 @@ class TestPlacement:
         assert record.pool == 0
         assert record.migrations == 1
 
+    def test_equal_speed_pools_park_on_little(self):
+        # Equal speeds: the short request is parked on the last pool and
+        # stays there; the aged one is rescued onto the first.
+        topo = Topology.big_little(big=2, little=4, big_speed=1.0)
+        result = simulate(
+            _arrivals([(0.0, 10.0), (5.0, 300.0)]),
+            EnergyAwareFMScheduler(_interval_table(), boosting=False,
+                                   min_free_cores=1.0),
+            cores=6, quantum_ms=5.0, topology=topo,
+        )
+        placements = [(r.pool, r.migrations) for r in result.records]
+        assert placements == [(1, 0), (0, 1)]
+
     def test_headroom_gate_blocks_rescue(self):
         topo = Topology.big_little(big=2, little=4, big_speed=2.0)
         # An impossible headroom demand: no age-based rescue can fire,

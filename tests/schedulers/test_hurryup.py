@@ -71,6 +71,19 @@ class TestPlacement:
         # 80 ms on little + remaining 220 ms at 2x: well under 300 ms.
         assert record.latency_ms < 300.0
 
+    def test_equal_speed_pools_split_little_first(self):
+        # Equal speeds still name a big (first) and a little (last)
+        # pool: arrivals start on pool 1 and only the endangered request
+        # moves to pool 0, so both pools run requests.
+        topo = Topology.big_little(big=2, little=4, big_speed=1.0)
+        result = simulate(
+            _arrivals([(0.0, 10.0), (5.0, 10.0), (10.0, 300.0)]),
+            HurryUpScheduler(degree=2, deadline_ms=200.0),
+            cores=6, quantum_ms=5.0, topology=topo,
+        )
+        placements = sorted((r.pool, r.migrations) for r in result.records)
+        assert placements == [(0, 1), (1, 0), (1, 0)]
+
     def test_rescue_beats_staying_on_little(self):
         topo = Topology.big_little(big=2, little=4, big_speed=2.0)
         spec = _arrivals([(0.0, 300.0)])
