@@ -25,12 +25,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import render_table
 from repro.sim.metrics import ATTRIBUTION_COMPONENTS
-from repro.telemetry.export import span_from_dict
+from repro.telemetry.export import _collector_paused, span_from_dict
 from repro.telemetry.spans import INSTANT, Span
 
 __all__ = [
@@ -65,6 +66,10 @@ _CONTEXT_COUNTERS = (
     "cluster.retry.injected_work",
     "cluster.deadline_misses",
 )
+#: The components a row carries: a run span with flight-recorder attrs,
+#: a pre-attribution run span (coarse two-way split), a shed span.
+_COARSE = ("queue_ms", "execute_ms")
+_SHED = ("queue_ms",)
 
 
 @dataclass
@@ -117,58 +122,81 @@ def load_trace(path: str | Path) -> TraceData:
     ``.gz``-suffixed paths (``trace.json.gz`` / ``spans.jsonl.gz``) are
     decompressed transparently — long traced runs compress ~20x, so
     archived experiment traces ship gzipped.
+
+    The parse and the span rebuild run with the cyclic GC paused
+    (:class:`repro.telemetry.export._collector_paused`): both build only
+    acyclic data (the JSON document, spans and their attr dicts).
     """
     path = Path(path)
     if path.suffix == ".gz":
         text = gzip.decompress(path.read_bytes()).decode("utf-8")
     else:
         text = path.read_text()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and "traceEvents" in document:
-        return _from_chrome(document)
-    # JSONL: one span dict per line.
-    spans = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            spans.append(span_from_dict(json.loads(line)))
+    with _collector_paused():
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError:
+            document = None
+        if isinstance(document, dict) and "traceEvents" in document:
+            return _from_chrome(document)
+        # JSONL: one span dict per line.
+        spans = []
+        for line in text.splitlines():
+            line = line.strip()
+            if line:
+                spans.append(span_from_dict(json.loads(line)))
     if not spans:
         raise ConfigurationError(f"{path}: no spans found (empty trace?)")
     return TraceData(spans=spans)
 
 
 def _from_chrome(document: dict) -> TraceData:
-    """Rebuild spans from a Chrome trace-event document."""
+    """Rebuild spans from a Chrome trace-event document, in one pass.
+
+    A span's id is its event's position plus one, and its attrs are its
+    event's ``args`` dict itself: the document is private to
+    :func:`load_trace`.  Tracks are named by the ``process_name``
+    metadata, which the writer emits before every span event; a
+    document that names a process after its first span event is
+    re-resolved at the end, so the last name given to a pid names all
+    of its spans.
+    """
     events = document.get("traceEvents", [])
     track_of_pid: dict[int, str] = {}
-    for event in events:
-        if event.get("ph") == "M" and event.get("name") == "process_name":
-            track_of_pid[event["pid"]] = event.get("args", {}).get("name", "")
     spans: list[Span] = []
+    append = spans.append
+    named_late = False
     for index, event in enumerate(events):
-        phase = event.get("ph")
-        if phase not in ("X", "i"):
-            continue
-        start_ms = float(event.get("ts", 0.0)) / 1000.0
-        duration_ms = float(event.get("dur", 0.0)) / 1000.0
-        spans.append(
-            Span(
-                name=event.get("name", ""),
-                track=track_of_pid.get(event.get("pid"), str(event.get("pid"))),
-                lane=int(event.get("tid", 0)),
-                span_id=index + 1,
-                parent_id=None,
-                start_ms=start_ms,
-                end_ms=start_ms if phase == "i" else start_ms + duration_ms,
-                kind=INSTANT if phase == "i" else "span",
-                attrs=dict(event.get("args", {})),
+        get = event.get
+        phase = get("ph")
+        if phase == "X" or phase == "i":
+            start_ms = float(get("ts", 0.0)) / 1000.0
+            duration_ms = float(get("dur", 0.0)) / 1000.0
+            pid = get("pid")
+            instant = phase == "i"
+            args = get("args")
+            append(
+                Span(
+                    get("name", ""),
+                    track_of_pid.get(pid, str(pid)),
+                    int(get("tid", 0)),
+                    index + 1,
+                    None,
+                    start_ms,
+                    start_ms if instant else start_ms + duration_ms,
+                    INSTANT if instant else "span",
+                    args if type(args) is dict else dict(get("args", {})),
+                )
             )
-        )
+        elif phase == "M" and get("name") == "process_name":
+            track_of_pid[event["pid"]] = get("args", {}).get("name", "")
+            named_late = named_late or bool(spans)
     if not spans:
         raise ConfigurationError("trace document holds no span events")
+    if named_late:
+        pids = [event.get("pid") for event in events if event.get("ph") in ("X", "i")]
+        for span, pid in zip(spans, pids):
+            span.track = track_of_pid.get(pid, str(pid))
     metrics = (document.get("otherData") or {}).get("metrics")
     return TraceData(spans=spans, metrics=metrics)
 
@@ -176,6 +204,112 @@ def _from_chrome(document: dict) -> TraceData:
 # ----------------------------------------------------------------------
 # Reconstruction
 # ----------------------------------------------------------------------
+@dataclass
+class _TrackColumns:
+    """One request track as per-field columns: one row per request, in
+    span order (DESIGN.md §9).
+
+    ``kinds[row]`` names the components the row carries, in its view's
+    order; ``components[name]`` is that component's column, 0.0 where a
+    row does not carry it (the value ``view.components.get(name, 0.0)``
+    reads).  The report sums these columns directly and builds a
+    :class:`RequestView` only for the rows it lists.
+    """
+
+    track: str
+    lane: list[int] = field(default_factory=list)
+    start_ms: list[float] = field(default_factory=list)
+    end_ms: list[float] = field(default_factory=list)
+    latency_ms: list[float] = field(default_factory=list)
+    kinds: list[tuple[str, ...]] = field(default_factory=list)
+    components: dict[str, list[float]] = field(default_factory=dict)
+    boosted: list[bool] = field(default_factory=list)
+    hedged: list[bool] = field(default_factory=list)
+    shed: list[bool] = field(default_factory=list)
+    energy_j: list[float] = field(default_factory=list)
+    pool: list[str] = field(default_factory=list)
+
+    def view(self, row: int) -> RequestView:
+        components = self.components
+        return RequestView(
+            track=self.track,
+            lane=self.lane[row],
+            start_ms=self.start_ms[row],
+            end_ms=self.end_ms[row],
+            latency_ms=self.latency_ms[row],
+            components={name: components[name][row] for name in self.kinds[row]},
+            boosted=self.boosted[row],
+            hedged=self.hedged[row],
+            shed=self.shed[row],
+            energy_j=self.energy_j[row],
+            pool=self.pool[row],
+        )
+
+    def views(self) -> list[RequestView]:
+        return [self.view(row) for row in range(len(self.lane))]
+
+    @classmethod
+    def from_views(cls, track: str, views: list[RequestView]) -> "_TrackColumns":
+        columns = cls(
+            track=track,
+            lane=[v.lane for v in views],
+            start_ms=[v.start_ms for v in views],
+            end_ms=[v.end_ms for v in views],
+            latency_ms=[v.latency_ms for v in views],
+            kinds=[tuple(v.components) for v in views],
+            boosted=[v.boosted for v in views],
+            hedged=[v.hedged for v in views],
+            shed=[v.shed for v in views],
+            energy_j=[v.energy_j for v in views],
+            pool=[v.pool for v in views],
+        )
+        columns.components = _component_columns(
+            columns.kinds, [value for v in views for value in v.components.values()]
+        )
+        return columns
+
+
+def _component_columns(
+    kinds: list[tuple[str, ...]], flat: list[float]
+) -> dict[str, list[float]]:
+    """Split the rows' component values (``flat``: each row's values in
+    its kind's order, row after row) into one column per component."""
+    distinct = dict.fromkeys(kinds)
+    if len(distinct) == 1:  # every row carries the same components
+        (kind,) = distinct
+        return {name: flat[i :: len(kind)] for i, name in enumerate(kind)}
+    columns: dict[str, list[float]] = {
+        name: [] for kind in distinct for name in kind
+    }
+    position = 0
+    for kind in kinds:
+        row = dict(zip(kind, flat[position : position + len(kind)]))
+        position += len(kind)
+        for name, column in columns.items():
+            column.append(row.get(name, 0.0))
+    return columns
+
+
+def _track_columns(spans: list[Span]) -> dict[str, _TrackColumns]:
+    """Per-track columns of every request track in ``spans`` (see
+    :func:`requests_from_spans`), tracks in the order it returns them."""
+    by_track: dict[str, list[Span]] = {}
+    for span in spans:
+        by_track.setdefault(span.track, []).append(span)
+
+    out: dict[str, _TrackColumns] = {}
+    for track in _REQUEST_TRACKS:
+        columns = _request_track_columns(track, by_track.get(track, []))
+        if columns.lane:
+            out[track] = columns
+    if "cluster" in by_track:
+        hedged_lanes = {s.lane for s in by_track.get("cluster.hedge", [])}
+        views = _cluster_views(by_track["cluster"], hedged_lanes)
+        if views:
+            out["cluster"] = _TrackColumns.from_views("cluster", views)
+    return out
+
+
 def requests_from_spans(spans: list[Span]) -> dict[str, list[RequestView]]:
     """Per-track request views reconstructed from raw spans.
 
@@ -185,68 +319,63 @@ def requests_from_spans(spans: list[Span]) -> dict[str, list[RequestView]]:
     per query lane — latency is the slowest shard — flagged ``hedged``
     when a ``cluster.hedge`` span exists for the lane.
     """
-    by_track: dict[str, list[Span]] = {}
-    for span in spans:
-        by_track.setdefault(span.track, []).append(span)
-
-    out: dict[str, list[RequestView]] = {}
-    for track in _REQUEST_TRACKS:
-        views = _request_track_views(track, by_track.get(track, []))
-        if views:
-            out[track] = views
-    if "cluster" in by_track:
-        hedged_lanes = {s.lane for s in by_track.get("cluster.hedge", [])}
-        views = _cluster_views(by_track["cluster"], hedged_lanes)
-        if views:
-            out["cluster"] = views
-    return out
+    return {track: columns.views() for track, columns in _track_columns(spans).items()}
 
 
-def _request_track_views(track: str, spans: list[Span]) -> list[RequestView]:
+def _request_track_columns(track: str, spans: list[Span]) -> _TrackColumns:
+    """One ``sim``/``runtime`` track's rows, in span order: a row per
+    ``run`` span (its attrs, else queue time from the lane's ``queue``
+    spans) and per ``shed`` span."""
     queue_ms: dict[int, float] = {}
     for span in spans:
         if span.name == "queue" and span.kind != INSTANT:
             queue_ms[span.lane] = queue_ms.get(span.lane, 0.0) + span.duration_ms
-    views: list[RequestView] = []
+    columns = _TrackColumns(track)
+    lanes, starts, ends = columns.lane, columns.start_ms, columns.end_ms
+    latencies, kinds, boosted = columns.latency_ms, columns.kinds, columns.boosted
+    sheds, energies, pools = columns.shed, columns.energy_j, columns.pool
+    flat: list[float] = []
+    nan = math.nan
+    zeros = repeat(0.0)
     for span in spans:
         if span.kind == INSTANT:
             continue
-        if span.name == "run":
-            waited = float(span.attrs.get("queue_ms", queue_ms.get(span.lane, 0.0)))
-            latency = float(span.attrs.get("latency_ms", waited + span.duration_ms))
-            if "service_ms" in span.attrs:
-                components = {
-                    name: float(span.attrs.get(name, 0.0))
-                    for name in ATTRIBUTION_COMPONENTS
-                }
+        name = span.name
+        if name == "run":
+            attrs = span.attrs
+            get = attrs.get
+            lane = span.lane
+            duration = span.duration_ms
+            waited = float(get("queue_ms", queue_ms.get(lane, 0.0)))
+            latencies.append(float(get("latency_ms", waited + duration)))
+            if "service_ms" in attrs:
+                kinds.append(ATTRIBUTION_COMPONENTS)
+                flat += map(float, map(get, ATTRIBUTION_COMPONENTS, zeros))
             else:  # pre-attribution trace: coarse two-way split
-                components = {"queue_ms": waited, "execute_ms": span.duration_ms}
-            views.append(
-                RequestView(
-                    track=track,
-                    lane=span.lane,
-                    start_ms=span.start_ms - waited,
-                    end_ms=span.end_ms,
-                    latency_ms=latency,
-                    components=components,
-                    boosted=bool(span.attrs.get("boosted", False)),
-                    energy_j=float(span.attrs.get("energy_j", math.nan)),
-                    pool=str(span.attrs.get("pool", "")),
-                )
-            )
-        elif span.name == "shed":
-            views.append(
-                RequestView(
-                    track=track,
-                    lane=span.lane,
-                    start_ms=span.start_ms,
-                    end_ms=span.end_ms,
-                    latency_ms=span.duration_ms,
-                    components={"queue_ms": span.duration_ms},
-                    shed=True,
-                )
-            )
-    return views
+                kinds.append(_COARSE)
+                flat += (waited, duration)
+            lanes.append(lane)
+            starts.append(span.start_ms - waited)
+            ends.append(span.end_ms)
+            boosted.append(bool(get("boosted", False)))
+            sheds.append(False)
+            energies.append(float(get("energy_j", nan)))
+            pools.append(str(get("pool", "")))
+        elif name == "shed":
+            duration = span.duration_ms
+            latencies.append(duration)
+            kinds.append(_SHED)
+            flat.append(duration)
+            lanes.append(span.lane)
+            starts.append(span.start_ms)
+            ends.append(span.end_ms)
+            boosted.append(False)
+            sheds.append(True)
+            energies.append(nan)
+            pools.append("")
+    columns.hedged = [False] * len(lanes)
+    columns.components = _component_columns(kinds, flat)
+    return columns
 
 
 def _cluster_views(
@@ -440,71 +569,94 @@ def _tail_threshold(latencies: list[float], phi: float) -> float:
     return ordered[max(0, math.ceil(phi * len(ordered)) - 1)]
 
 
-def _membership_rate(tail: list[RequestView], rest: list[RequestView], flag: str):
-    def rate(views: list[RequestView]) -> float:
-        if not views:
+def _membership_rate(
+    flags: list[bool], tail: list[bool], rest: list[bool]
+) -> tuple[float, float]:
+    """Share of flagged rows among the tail rows and the rest."""
+
+    def rate(members: list[bool]) -> float:
+        count = sum(members)
+        if not count:
             return math.nan
-        return sum(1 for v in views if getattr(v, flag)) / len(views)
+        return sum(compress(flags, members)) / count
 
     return rate(tail), rate(rest)
 
 
 def _report_track(
-    track: str, views: list[RequestView], phi: float, top: int
+    track: str, columns: _TrackColumns, phi: float, top: int
 ) -> TrackReport:
-    completed = [v for v in views if not v.shed]
-    sheds = len(views) - len(completed)
-    if not completed:
+    """Tail attribution for one track, read off its columns.
+
+    Every mean is the builtin ``sum`` over the same floats, in the same
+    (span) order, that a loop over the completed requests' views would
+    add: Python 3.12's ``sum`` compensates, so a hand-written loop or
+    ``math.fsum`` would round differently there.
+    """
+    sheds = sum(columns.shed)
+    keep = [not shed for shed in columns.shed]
+
+    def completed(column: list) -> list:
+        return list(compress(column, keep)) if sheds else column
+
+    latencies = completed(columns.latency_ms)
+    if not latencies:
         raise ConfigurationError(
             f"track {track!r}: every request was shed; no latency to attribute"
         )
-    latencies = [v.latency_ms for v in completed]
+    count = len(latencies)
     threshold = _tail_threshold(latencies, phi)
-    tail = [v for v in completed if v.latency_ms >= threshold]
-    rest = [v for v in completed if v.latency_ms < threshold]
-    component_names: list[str] = []
-    for view in completed:
-        for name in view.components:
-            if name not in component_names:
-                component_names.append(name)
-    tail_mean_latency = sum(v.latency_ms for v in tail) / len(tail)
+    tail = [latency >= threshold for latency in latencies]
+    rest = [latency < threshold for latency in latencies]
+    tail_count = sum(tail)
+    component_names = dict.fromkeys(
+        name for kind in dict.fromkeys(completed(columns.kinds)) for name in kind
+    )
+    tail_mean_latency = sum(compress(latencies, tail)) / tail_count
     components = {}
     for name in component_names:
-        overall = sum(v.components.get(name, 0.0) for v in completed) / len(completed)
-        tail_mean = sum(v.components.get(name, 0.0) for v in tail) / len(tail)
+        column = completed(columns.components[name])
+        tail_mean = sum(compress(column, tail)) / tail_count
         components[name] = {
-            "overall_mean_ms": overall,
+            "overall_mean_ms": sum(column) / count,
             "tail_mean_ms": tail_mean,
             "tail_share": tail_mean / tail_mean_latency
             if tail_mean_latency > 0
             else math.nan,
         }
+    # Worst first, ties in span order (a stable sort on -latency).
+    keys = [-latency for latency in latencies]
+    slowest = sorted(range(count), key=keys.__getitem__)[:top]
+    rows = completed(range(len(columns.lane)))
     report = TrackReport(
         track=track,
         phi=phi,
-        count=len(completed),
+        count=count,
         shed_count=sheds,
-        mean_ms=sum(latencies) / len(latencies),
+        mean_ms=sum(latencies) / count,
         tail_threshold_ms=threshold,
-        tail_count=len(tail),
+        tail_count=tail_count,
         components=components,
-        slowest=sorted(completed, key=lambda v: -v.latency_ms)[:top],
+        slowest=[columns.view(rows[i]) for i in slowest],
     )
     # Energy is NaN-safe: traces predating energy accounting (or from
     # the homogeneous-legacy engine) carry no energy_j attrs, every
     # view is nan, and the report simply omits the energy lines.
-    energetic = [v for v in completed if v.energy_j == v.energy_j]
+    energies = completed(columns.energy_j)
+    energetic = [energy for energy in energies if energy == energy]
     if energetic:
-        report.joules_per_query = sum(v.energy_j for v in energetic) / len(energetic)
-        tail_energetic = [v for v in tail if v.energy_j == v.energy_j]
+        report.joules_per_query = sum(energetic) / len(energetic)
+        tail_energetic = [
+            energy for energy in compress(energies, tail) if energy == energy
+        ]
         if tail_energetic:
-            report.tail_joules_per_query = sum(
-                v.energy_j for v in tail_energetic
-            ) / len(tail_energetic)
-    if any(v.boosted for v in completed):
-        report.boosted_rate = _membership_rate(tail, rest, "boosted")
-    if any(v.hedged for v in completed):
-        report.hedged_rate = _membership_rate(tail, rest, "hedged")
+            report.tail_joules_per_query = sum(tail_energetic) / len(tail_energetic)
+    boosted = completed(columns.boosted)
+    if any(boosted):
+        report.boosted_rate = _membership_rate(boosted, tail, rest)
+    hedged = completed(columns.hedged)
+    if any(hedged):
+        report.hedged_rate = _membership_rate(hedged, tail, rest)
     return report
 
 
@@ -518,7 +670,7 @@ def analyze_spans(
     """Tail-attribution report over reconstructed spans."""
     if not 0.0 < phi < 1.0:
         raise ConfigurationError(f"phi must be in (0, 1): {phi}")
-    per_track = requests_from_spans(spans)
+    per_track = _track_columns(spans)
     if track is not None:
         if track not in per_track:
             raise ConfigurationError(
@@ -535,8 +687,8 @@ def analyze_spans(
     return AnalysisReport(
         phi=phi,
         tracks={
-            name: _report_track(name, views, phi, top)
-            for name, views in per_track.items()
+            name: _report_track(name, columns, phi, top)
+            for name, columns in per_track.items()
         },
         counters=context,
     )

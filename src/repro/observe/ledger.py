@@ -182,18 +182,36 @@ class RunArtifacts:
     metrics: dict[str, float] = field(default_factory=dict)
     energy: dict = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
+    #: name -> (the payload :meth:`add_histogram` stored, a private copy
+    #: of the histogram it was given).  Not part of the entry: equality,
+    #: :meth:`to_dict` and the ledger never see it.
+    _live: dict[str, tuple[dict, LogHistogram]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def histogram(self, name: str) -> LogHistogram:
-        """Restore one stored histogram to a live object."""
+        """Restore one stored histogram to a live object.
+
+        While ``histograms[name]`` is still the payload
+        :meth:`add_histogram` stored, this is a fresh copy of the
+        histogram kept with it (DESIGN.md §15): same state, without
+        parsing every bucket key again.  Entries read from a ledger,
+        and replaced payloads, are rebuilt from the payload.
+        """
         if name not in self.histograms:
             raise ConfigurationError(
                 f"no histogram {name!r} in artifacts "
                 f"(have: {sorted(self.histograms) or 'none'})"
             )
-        return LogHistogram.from_state(self.histograms[name])
+        payload = self.histograms[name]
+        live = self._live.get(name)
+        if live is not None and live[0] is payload:
+            return live[1].copy()
+        return LogHistogram.from_state(payload)
 
     def add_histogram(self, name: str, histogram: LogHistogram) -> None:
-        self.histograms[name] = histogram.dump_state()
+        payload = self.histograms[name] = histogram.dump_state()
+        self._live[name] = (payload, histogram.copy())
 
     def to_dict(self) -> dict:
         return {

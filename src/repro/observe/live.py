@@ -301,7 +301,7 @@ class LivePlane:
         components accumulate nothing).  Crossing a window boundary
         closes windows, runs the detector, and may append events.
         """
-        self._roll_to(at_ms)
+        self.advance(at_ms)
         if self.slo is not None and self.feed_slo:
             self.slo.observe(latency_ms, at_ms=at_ms)
         self._count += 1
@@ -320,7 +320,7 @@ class LivePlane:
         """Attach a structured event to the stream (mode flips,
         reprofiles, faults, breach onsets...).  Returns the recorded
         event.  Advances the window grid like :meth:`observe`."""
-        self._roll_to(at_ms)
+        self.advance(at_ms)
         event = ObserveEvent(
             at_ms=at_ms,
             kind=kind,
@@ -333,12 +333,33 @@ class LivePlane:
             self._mode = str(detail.get("to_mode", self._mode))
         return event
 
+    def advance(self, at_ms: float) -> None:
+        """Roll the window grid to ``at_ms`` without observing anything:
+        close every window that ends at or before it (on first activity,
+        open the window containing it).  :meth:`observe`,
+        :meth:`annotate` and :meth:`flush` start with this step.  A
+        producer that writes the attached registry calls it first, so
+        each window's registry snapshot holds exactly the writes made
+        inside the window (the engine does, DESIGN.md §13)."""
+        if self._window_end is None:
+            anchor = self._anchor_ms
+            if anchor is None:
+                self._anchor_ms = anchor = at_ms
+            # First activity: open the window containing at_ms.
+            self._window_end = (
+                anchor + (self._index_of(at_ms) + 1) * self.window_ms
+            )
+            return
+        while at_ms >= self._window_end:
+            self._close_window(self._window_end)
+            self._window_end += self.window_ms
+
     def flush(self, at_ms: float) -> None:
         """Close every window ending at or before ``at_ms``, then fold
         any remaining partial window (end of run)."""
         if self._window_end is None:
             return
-        self._roll_to(at_ms)
+        self.advance(at_ms)
         if self._count or self._pending_events:
             self._close_window(self._window_end)
             self._window_end += self.window_ms
@@ -382,20 +403,6 @@ class LivePlane:
     def _index_of(self, at_ms: float) -> int:
         anchor = self._anchor_ms if self._anchor_ms is not None else at_ms
         return int(math.floor((at_ms - anchor) / self.window_ms))
-
-    def _roll_to(self, at_ms: float) -> None:
-        if self._window_end is None:
-            anchor = self._anchor_ms
-            if anchor is None:
-                self._anchor_ms = anchor = at_ms
-            # First activity: open the window containing at_ms.
-            self._window_end = (
-                anchor + (self._index_of(at_ms) + 1) * self.window_ms
-            )
-            return
-        while at_ms >= self._window_end:
-            self._close_window(self._window_end)
-            self._window_end += self.window_ms
 
     def _close_window(self, end_ms: float) -> None:
         index = self._index_of(end_ms - self.window_ms / 2)

@@ -112,6 +112,7 @@ from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.sim.processor import BoostController, occupancy, share_factors
 from repro.sim.request import RequestState, SimRequest
 from repro.telemetry import Telemetry, resolve_telemetry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (observe -> sim)
@@ -401,12 +402,29 @@ class Engine:
         through a dedicated sequence band that preserves the batch
         path's tie-breaking, so the same trace replays bit-identically
         through either path.
+
+        A finished run frees itself, also when it raises: the engine
+        drops its :class:`SchedulerContext` (which points back at it)
+        and the kernels bound on the instance (bound methods of it), so
+        its requests, records and event heap are freed when the caller
+        drops the engine, not at the next full collection (DESIGN.md
+        §10).
         """
         if self._ran:
             raise SimulationError(
                 "engine already ran; construct a new Engine per simulation"
             )
         self._ran = True
+        try:
+            return self._run(arrivals)
+        finally:
+            self._ctx = None
+            for name in ("_defer", "_commit", "_recompute_rates"):
+                self.__dict__.pop(name, None)
+
+    def _run(
+        self, arrivals: Sequence[ArrivalSpec] | Iterable[ArrivalSpec]
+    ) -> SimulationResult:
         self.scheduler.reset()
         self.boost.reset()
         if isinstance(arrivals, Sequence):
@@ -554,7 +572,7 @@ class Engine:
                 request.impaired = True
                 self._metrics.fault_stats.stragglers_injected += 1
         if self.telemetry is not None:
-            self.telemetry.metrics.counter("sim.arrivals").inc()
+            self._registry().counter("sim.arrivals").inc()
         # The request counts toward the load its own admission sees
         # (the interval table is indexed by the count including it).
         self._candidate = 1
@@ -592,7 +610,7 @@ class Engine:
             self._refresh_degree_cache(request)
             self._rates_dirty = True
             if telemetry is not None:
-                telemetry.metrics.counter("sim.degree_raises").inc()
+                self._registry().counter("sim.degree_raises").inc()
         if batch:
             self._load_slot(slot, request)
         if request.boosted and not was_boosted:
@@ -600,7 +618,7 @@ class Engine:
             # without a raise (FIX-N's age-based boosting).
             self._rates_dirty = True
             if telemetry is not None:
-                telemetry.metrics.counter("sim.boosts").inc()
+                self._registry().counter("sim.boosts").inc()
                 telemetry.tracer.instant(
                     "boost", track="sim", lane=request.rid, at_ms=self.now_ms,
                     degree=request.degree,
@@ -779,7 +797,7 @@ class Engine:
                 request.state = RequestState.QUEUED
                 self._waiting_fifo.append(request.rid)
                 if self.telemetry is not None:
-                    self.telemetry.metrics.gauge("sim.queue_depth").set(
+                    self._registry().gauge("sim.queue_depth").set(
                         len(self._waiting_fifo)
                     )
         elif decision.action is AdmissionAction.SHED:
@@ -793,7 +811,7 @@ class Engine:
                 # pending DELAY_EXPIRED for them is skipped on pop).
                 del self._requests[request.rid]
             if self.telemetry is not None:
-                self.telemetry.metrics.counter("sim.sheds").inc()
+                self._registry().counter("sim.sheds").inc()
                 self.telemetry.tracer.complete(
                     "shed", request.arrival_ms, self.now_ms,
                     track="sim", lane=request.rid, deadline=decision.deadline,
@@ -856,12 +874,12 @@ class Engine:
         tail without the RequestRecords.
         """
         telemetry = self.telemetry
+        metrics = self._registry()
         instruments = self._instruments
         if instruments is None:
             # Created in the order the per-completion lookups used to
             # create them, so the registry, its windows and the export
             # keep their instrument order.
-            metrics = telemetry.metrics
             instruments = self._instruments = (
                 metrics.counter("sim.completions"),
                 metrics.histogram("sim.latency_ms"),
@@ -894,6 +912,17 @@ class Engine:
                 **extra,
             )
 
+    def _registry(self) -> MetricsRegistry:
+        """The telemetry registry, for a write at the current time.
+
+        The live plane's grid is rolled to now first, so the write lands
+        in the registry window that contains it rather than in whichever
+        window the next completion closes (DESIGN.md §13).
+        """
+        if self._live is not None:
+            self._live.advance(self.now_ms)
+        return self.telemetry.metrics
+
     def _wake_waiters(self, exits: int) -> None:
         """Re-evaluate waiting requests after ``exits`` completions
         (Section 4.2: "When a request leaves, FM computes the load and
@@ -920,7 +949,7 @@ class Engine:
                 forced += 1
             waiting.popleft()
             if self.telemetry is not None:
-                self.telemetry.metrics.gauge("sim.queue_depth").set(len(waiting))
+                self._registry().gauge("sim.queue_depth").set(len(waiting))
             self._apply_admission(request, decision)
         # Delayed requests may start early when load drops — or be shed
         # if their deadline budget expired while they waited.  The list
@@ -1523,7 +1552,7 @@ class Engine:
         request.migrations += 1
         self._rates_dirty = True
         if self.telemetry is not None:
-            self.telemetry.metrics.counter("sim.migrations").inc()
+            self._registry().counter("sim.migrations").inc()
             self.telemetry.tracer.instant(
                 "migrate", track="sim", lane=request.rid, at_ms=self.now_ms,
                 source=self._pool_names[source], target=self._pool_names[pool],
@@ -1563,7 +1592,7 @@ class Engine:
         ]
         report = EnergyReport(pools, duration_ms=self.now_ms)
         if self.telemetry is not None:
-            metrics = self.telemetry.metrics
+            metrics = self._registry()
             metrics.gauge("sim.energy.total_j").set(report.total_j)
             for entry in report.pools:
                 prefix = f"sim.energy.pool.{entry.name}"

@@ -23,6 +23,7 @@ Every file writer and reader here goes through :func:`open_text`, so a
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import math
@@ -60,6 +61,31 @@ def open_text(path: str | Path, mode: str = "r") -> IO[str]:
     if path.suffix == ".gz":
         return gzip.open(path, mode + "t", encoding="utf-8")
     return path.open(mode, encoding="utf-8")
+
+
+class _collector_paused:
+    """Run a bulk build of acyclic data with the cyclic GC paused.
+
+    The trace writer and the trace loader allocate tens of thousands of
+    dicts, lists, strs and floats that stay alive until the build
+    returns, so every collection that lands inside it walks them and
+    frees nothing.  Reference counting still frees everything they drop.
+
+    The pause is process-wide (:func:`gc.disable`).  The collector is
+    re-enabled on exit only if it was enabled on entry: a caller that
+    disabled it keeps it disabled, and two threads pausing at once can
+    only leave it enabled.  A class rather than a generator, so that
+    nothing is allocated between re-enabling and returning to the
+    caller.
+    """
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self._enabled:
+            gc.enable()
 
 
 def _jsonable(value: object) -> object:
@@ -167,12 +193,19 @@ def write_chrome_trace(
 
     The file is compact single-line JSON: ``json`` uses its C encoder
     only without ``indent``, and the pure-Python one costs several
-    times more on a long traced run.
+    times more on a long traced run.  The document is built, encoded
+    and written with the cyclic GC paused (:class:`_collector_paused`):
+    it is plain dicts, lists, strs and floats, none of which refers
+    back to another, and it lives until the encode returns.
     """
     path = Path(path)
-    document = to_chrome_trace(telemetry.tracer.spans, telemetry.metrics.as_dict())
-    with open_text(path, "w") as handle:
-        handle.write(json.dumps(document, separators=(",", ":")))
+    with _collector_paused():
+        text = json.dumps(
+            to_chrome_trace(telemetry.tracer.spans, telemetry.metrics.as_dict()),
+            separators=(",", ":"),
+        )
+        with open_text(path, "w") as handle:
+            handle.write(text)
     return path
 
 

@@ -30,6 +30,7 @@ from repro.observe.ledger import (
     workload_digest,
 )
 from repro.experiments.config import TINY as TEST_SCALE
+from repro.observe.diff import bootstrap_quantiles, diff_runs
 from repro.schedulers import FMScheduler
 from repro.sim.engine import simulate
 from repro.sim.metrics import ATTRIBUTION_COMPONENTS
@@ -296,3 +297,61 @@ class TestLedgerStore:
             ledger.get("7")  # out of range
         with pytest.raises(ConfigurationError):
             entry.artifacts.histogram("no-such-histogram")
+
+
+class TestLiveHistograms:
+    """``RunArtifacts`` hands back copies of the histograms it was given
+    while their payloads stand, so ``diff_runs`` on entries built in
+    this process must equal the diff of the same entries read back from
+    a ledger, float for float."""
+
+    def test_in_process_diff_equals_the_ledger_round_trip(
+        self, tmp_path, run_and_workload
+    ):
+        entries = []
+        for seed, (result, _) in ((321, run_and_workload), (322, _run(322))):
+            entries.append(
+                entry_from_result(
+                    f"fm@45:{seed}",
+                    result,
+                    config={"policy": "FM", "rps": 45.0, "seed": seed},
+                    seed=seed,
+                    scheduler="FM",
+                )
+            )
+        ledger = RunLedger(tmp_path / "runs")
+        stored = [ledger.get(ledger.append(entry)) for entry in entries]
+        assert repr(diff_runs(*entries)) == repr(diff_runs(*stored))
+        assert repr(diff_runs(entries[0], stored[0])) == repr(diff_runs(*stored[:1] * 2))
+        for live, back in zip(entries, stored):
+            assert live.artifacts == back.artifacts
+            for name in live.artifacts.histograms:
+                ours, theirs = live.artifacts.histogram(name), back.artifacts.histogram(name)
+                assert ours.state() == theirs.state()
+                assert ours.bucket_points() == theirs.bucket_points()
+                replicates = [
+                    bootstrap_quantiles(h, QUANTILE_GRID, 64, np.random.default_rng(9))
+                    for h in (ours, theirs)
+                ]
+                assert np.array_equal(*replicates)
+
+    def test_each_read_is_a_fresh_copy(self):
+        artifacts = RunArtifacts()
+        given = LogHistogram()
+        given.record_many([1.0, 2.0, 4.0])
+        artifacts.add_histogram("latency_ms", given)
+        given.record(100.0)
+        first = artifacts.histogram("latency_ms")
+        first.record(50.0)
+        assert artifacts.histogram("latency_ms").count == 3
+        assert RunArtifacts.from_dict(artifacts.to_dict()) == artifacts
+
+    def test_a_replaced_payload_is_honoured(self):
+        artifacts = RunArtifacts()
+        first, second = LogHistogram(), LogHistogram()
+        first.record_many([1.0, 2.0])
+        second.record_many([5.0, 7.0, 9.0])
+        artifacts.add_histogram("latency_ms", first)
+        assert artifacts.histogram("latency_ms").state() == first.state()
+        artifacts.histograms["latency_ms"] = second.dump_state()
+        assert artifacts.histogram("latency_ms").state() == second.state()

@@ -241,6 +241,48 @@ class TestEngineWiring:
                 assert exemplar.pool == topology[record.pool].name
 
 
+class TestRegistryWindows:
+    """With telemetry and a plane attached, each registry window holds
+    exactly the engine's writes made inside it: the engine rolls the
+    plane's grid before every registry write, not only at completions."""
+
+    @pytest.mark.parametrize("placement", ["homogeneous", "big_little"])
+    def test_windows_hold_the_writes_made_inside_them(
+        self, tiny_workload, small_table, placement
+    ):
+        rng = np.random.default_rng(5)
+        arrivals = tiny_workload.arrivals(300, PoissonProcess(220.0), rng)
+        if placement == "big_little":
+            scheduler, topology = HurryUpScheduler(), Topology.big_little(big=2, little=2)
+        else:
+            scheduler, topology = FMScheduler(small_table), None
+        telemetry = Telemetry()
+        plane = LivePlane(window_ms=50.0, capacity=4096, telemetry=telemetry)
+        result = Engine(4, scheduler, topology=topology, telemetry=telemetry, live=plane).run(
+            arrivals
+        )
+        snapshots = plane.window_snapshots()
+        live = plane.windows()
+        assert [s.index for s in snapshots] == [w.index for w in live]
+        assert len(snapshots) > 10
+        records = result.records
+        for snapshot, window in zip(snapshots, live):
+            start, end = snapshot.start_ms, snapshot.end_ms
+            arrived = sum(1 for r in records if start <= r.arrival_ms < end)
+            finished = sum(1 for r in records if start <= r.finish_ms < end)
+            assert snapshot.counters.get("sim.arrivals", 0) == arrived, snapshot.index
+            assert snapshot.counters.get("sim.completions", 0) == finished, snapshot.index
+            assert window.count == finished
+            latency = snapshot.histograms.get("sim.latency_ms")
+            if latency is None:
+                assert window.count == 0
+                continue
+            sliced, observed = latency.dump_state(), window.latency.dump_state()
+            for key in ("buckets", "zero_count", "count"):
+                assert sliced[key] == observed[key], (snapshot.index, key)
+        assert sum(s.counters.get("sim.arrivals", 0) for s in snapshots) == len(records)
+
+
 class TestReplay:
     def _traced_run(self, tiny_workload, small_table):
         telemetry = Telemetry()
