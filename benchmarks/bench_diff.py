@@ -20,12 +20,12 @@ Four sections, two purposes (DESIGN.md §15):
 * ``throughput`` (same-machine trajectory): ``diff_runs`` calls per
   second on realistic entries, and ledger append+get round-trips per
   second.  Gated with a wide cross-run band by
-  ``check_diff_regression.py``.
+  ``check_regression.py``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_diff.py [--scale quick]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only diff
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only diff
 """
 
 from __future__ import annotations
@@ -215,11 +215,11 @@ def build_report(scale: Scale) -> dict:
             "DESIGN.md §15), and diffs must be byte-identical across "
             "repeats and --workers counts. throughput is the "
             "same-machine trajectory gated with a wide band by "
-            "check_diff_regression.py."
+            "check_regression.py."
         ),
     }
     # The embedded run-over-run entry (consumed by
-    # gatelib.compare_to_baseline): the report's own scalars as a
+    # check_regression.py's delta printout): the report's own scalars as a
     # metrics-only ledger entry.
     metrics = {
         "diffs_per_s": throughput["diffs_per_s"],

@@ -10,7 +10,7 @@ Four sections, two purposes:
   records, per load point, whether EA-FM strictly dominates FIX-3
   (lower p99 AND fewer joules/query).  Seeded, so the dominated-point
   count is *hardware-independent*; the regression gate
-  (``check_hetero_regression.py``) pins it ``>= 1``.
+  (``check_regression.py``) pins it ``>= 1``.
 * ``determinism`` runs the same sweep serially and across 2 worker
   processes and attests identical tails and energy bills.
 * ``engine_throughput`` times a saturated big/little run (events/sec,
@@ -20,7 +20,7 @@ Four sections, two purposes:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hetero.py [--scale quick]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only hetero
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only hetero
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def build_report(scale: Scale) -> dict:
             "bit_identity, frontier, and determinism are fully seeded "
             "simulations: their attestations and the dominated-point "
             "count are hardware-independent and gated by "
-            "check_hetero_regression.py (single-pool runs must stay "
+            "check_regression.py (single-pool runs must stay "
             "bit-identical to repro.sim._baseline; EA-FM must dominate "
             "FIX-3 at >= 1 big/little load point; worker counts must "
             "not change results). engine_throughput varies with "

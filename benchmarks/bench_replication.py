@@ -11,7 +11,7 @@ Four sections, two purposes:
 * ``phase_diagram`` re-runs the ``replication-phase`` sweep and records
   the adaptive-vs-best-static p99 ratio per load point.  Simulation is
   seeded, so these ratios are *hardware-independent* — the regression
-  gate (``check_replication_regression.py``) pins them ``<= 1.10``.
+  gate (``check_regression.py``) pins them ``<= 1.10``.
 * ``flip`` replays the deterministic overload→underload scenario twice
   and attests that both runs produced bit-identical mode-transition
   signatures (and at least one brownout).
@@ -19,7 +19,7 @@ Four sections, two purposes:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_replication.py [--scale quick]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only replication
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only replication
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def build_report(scale: Scale) -> dict:
             "AdaptiveReplicationController.observe. phase_diagram and flip "
             "are fully seeded simulations: their ratios and attestations "
             "are hardware-independent and gated by "
-            "check_replication_regression.py (adaptive p99 must stay "
+            "check_regression.py (adaptive p99 must stay "
             "within 10% of the best static policy at every load point, "
             "and the flip replay must be bit-identical with >= 1 "
             "brownout). controller_overhead and observations_per_s vary "

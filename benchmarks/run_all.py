@@ -1,56 +1,50 @@
-"""Perf trajectory benches -> BENCH_telemetry / BENCH_observe / BENCH_engine.
+"""Perf trajectory benches -> the repo-root ``BENCH_<section>.json`` reports.
 
-Runs the simulator, search-executor, and cluster benches twice each —
-telemetry explicitly disabled vs enabled — plus microbenchmarks of the
-telemetry primitives themselves, and writes the headline numbers
-(events/sec, p50/p99, overhead %) to ``BENCH_telemetry.json`` at the
-repo root so future PRs have a baseline to regress against.
+Each section writes one report (``--list`` shows them):
 
-Also writes ``BENCH_observe.json`` for the observability layer (trace
-analyzer throughput, attribution flight-recorder overhead) and
-``BENCH_engine.json`` for the engine hot path: single-process
-events/sec on a saturated run, an A/B against the frozen reference
-engine in ``repro.sim._baseline`` (which must be *bit-identical*, not
-just close), and serial-vs-parallel sweep wall clock at 4 workers.
+- ``engine``: the engine hot path — single-process events/sec on a
+  saturated run, an A/B against the frozen reference engine in
+  ``repro.sim._baseline`` (which must be *bit-identical*, not just
+  close), serial-vs-parallel sweep wall clock at 4 workers, and the
+  mega-sweep machinery (DESIGN.md §14);
+- ``replication`` (``bench_replication.py``): the adaptive-controller
+  observe-path throughput, controller-vs-static overhead, the seeded
+  adaptive-vs-best-static phase-diagram ratios and the deterministic
+  flip-replay attestation;
+- ``hetero`` (``bench_hetero.py``): the single-pool bit-identity
+  attestation against ``repro.sim._baseline``, the EA-FM vs FIX-3
+  latency-energy frontier on big/little cores, the worker-count
+  determinism attestation and the hetero engine's events/sec;
+- ``telemetry``: the simulator, search-executor and cluster benches
+  with telemetry explicitly disabled vs enabled, plus the telemetry
+  primitives (acceptance bound: <3% simulator slowdown when disabled);
+- ``observe``: trace analyzer throughput, the attribution flight
+  recorder's and the live plane's overhead, and the seeded live-tail
+  attestations;
+- ``diff`` (``bench_diff.py``): the self-diff exact null, the
+  FM-vs-FIX-3 significance + explanation-ranking attestation, diff
+  determinism across repeats and ``--workers``, and diff/ledger
+  throughput.
 
-``--only replication`` (also in ``--only all``) delegates to
-``bench_replication.py`` and writes ``BENCH_replication.json``: the
-adaptive-controller observe-path throughput, controller-vs-static
-overhead, the seeded adaptive-vs-best-static phase-diagram ratios, and
-the deterministic flip-replay attestation (gated by
-``check_replication_regression.py``).
-
-``--only hetero`` (also in ``--only all``) delegates to
-``bench_hetero.py`` and writes ``BENCH_hetero.json``: the single-pool
-bit-identity attestation against ``repro.sim._baseline``, the EA-FM
-vs FIX-3 latency-energy frontier on big/little cores, the
-worker-count determinism attestation, and the hetero engine's
-events/sec (gated by ``check_hetero_regression.py``).
-
-``--only diff`` (also in ``--only all``) delegates to
-``bench_diff.py`` and writes ``BENCH_diff.json``: the self-diff exact
-null, the FM-vs-FIX-3 significance + explanation-ranking attestation,
-diff determinism across repeats and ``--workers``, and diff/ledger
-throughput (gated by ``check_diff_regression.py``).
+``benchmarks/check_regression.py`` gates every section but telemetry
+against its committed report.  The assertions made here while a section
+runs (bit identity against ``_baseline``; sweep, kernel and shard
+identity; flat streamed memory) hold on any host.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--scale quick] [--output PATH]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only engine,diff
+    PYTHONPATH=src python benchmarks/run_all.py [--scale quick]
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only engine,diff --output-dir fresh
     PYTHONPATH=src python benchmarks/run_all.py --list
-    PYTHONPATH=src python benchmarks/run_all.py --quick --ledger runs
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --ledger runs
 
-``--only`` takes a comma-separated subset of the sections shown by
-``--list``.  Every section report embeds a ``"ledger"`` entry — a
+``--only`` takes a comma-separated subset of the sections.  Every
+section report embeds a ``"ledger"`` entry — a
 ``repro.observe.ledger.RunEntry`` whose metrics are the report's
 numeric scalars — so committed ``BENCH_*`` baselines are diffable run
-over run (``gatelib.compare_to_baseline``, DESIGN.md §15); ``--ledger
-DIR`` additionally appends each section's entry to that run ledger.
-
-The acceptance bound for the telemetry trajectory is a <3% simulator
-slowdown with telemetry disabled; for the engine trajectory, >= 25%
-events/sec regressions vs the committed ``BENCH_engine.json`` fail CI
-(see ``benchmarks/check_engine_regression.py``).
+over run (the gate prints the largest deltas, DESIGN.md §15);
+``--ledger DIR`` additionally appends each section's entry to that run
+ledger.
 """
 
 from __future__ import annotations
@@ -845,20 +839,20 @@ def build_observe_report(scale: Scale) -> dict:
             "raw TimeseriesRecorder.snapshot primitive. live_tail is "
             "seeded and hardware-independent: the overload-flip onset "
             "signature and the replay-vs-analyze attribution "
-            "equivalence, both gated by check_observe_regression.py."
+            "equivalence, both gated by check_regression.py."
         ),
     }
 
 
-#: The bench sections, in ``--only all`` execution order.  Each maps to
-#: (description, args attribute holding the output path, builder).
+#: The bench sections, in ``--only all`` execution order: name ->
+#: (description, builder).  Section ``name`` writes ``BENCH_<name>.json``.
 SECTIONS = {
-    "engine": ("engine hot path + mega-sweep machinery", "engine_output", build_engine_report),
-    "replication": ("adaptive replication controller", "replication_output", build_replication_report),
-    "hetero": ("big/little pools + energy accounting", "hetero_output", build_hetero_report),
-    "telemetry": ("telemetry on/off overhead + primitives", "output", build_telemetry_report),
-    "observe": ("trace analyzer, flight recorder, live plane", "observe_output", build_observe_report),
-    "diff": ("run ledger + repro diff attestations", "diff_output", build_diff_report),
+    "engine": ("engine hot path + mega-sweep machinery", build_engine_report),
+    "replication": ("adaptive replication controller", build_replication_report),
+    "hetero": ("big/little pools + energy accounting", build_hetero_report),
+    "telemetry": ("telemetry on/off overhead + primitives", build_telemetry_report),
+    "observe": ("trace analyzer, flight recorder, live plane", build_observe_report),
+    "diff": ("run ledger + repro diff attestations", build_diff_report),
 }
 
 
@@ -918,37 +912,8 @@ def main(argv: list[str] | None = None) -> int:
         help="fidelity preset (default: $REPRO_SCALE or 'quick')",
     )
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_telemetry.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--observe-output", type=Path,
-        default=REPO_ROOT / "BENCH_observe.json",
-        help="where to write the observe-layer JSON report",
-    )
-    parser.add_argument(
-        "--engine-output", type=Path,
-        default=REPO_ROOT / "BENCH_engine.json",
-        help="where to write the engine hot-path JSON report",
-    )
-    parser.add_argument(
-        "--replication-output", type=Path,
-        default=REPO_ROOT / "BENCH_replication.json",
-        help="where to write the replication-controller JSON report",
-    )
-    parser.add_argument(
-        "--hetero-output", type=Path,
-        default=REPO_ROOT / "BENCH_hetero.json",
-        help="where to write the heterogeneous-engine JSON report",
-    )
-    parser.add_argument(
-        "--diff-output", type=Path,
-        default=REPO_ROOT / "BENCH_diff.json",
-        help="where to write the diff-engine JSON report",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="shorthand for --scale quick (the CI perf-smoke preset)",
+        "--output-dir", type=Path, default=REPO_ROOT,
+        help="where to write BENCH_<section>.json (default: the repo root)",
     )
     parser.add_argument(
         "--only",
@@ -968,14 +933,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list:
-        for name, (description, output_attr, _) in SECTIONS.items():
-            default = parser.get_default(output_attr)
-            print(f"{name:12s} {description} -> {Path(default).name}")
+        for name, (description, _) in SECTIONS.items():
+            print(f"{name:12s} {description} -> BENCH_{name}.json")
         return 0
-    if args.quick and args.scale and args.scale != "quick":
-        parser.error("--quick conflicts with --scale " + args.scale)
-    if args.quick:
-        args.scale = "quick"
     if args.scale:
         from repro.experiments.config import FULL, QUICK, TINY
 
@@ -994,12 +954,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"(choose from: {', '.join(SECTIONS)}, all)"
             )
 
+    args.output_dir.mkdir(parents=True, exist_ok=True)
     for name in selected:
-        _, output_attr, build = SECTIONS[name]
+        _, build = SECTIONS[name]
         print(f"\nrunning {name} benches at scale={scale.name} ...")
         report = build(scale)
         embed_ledger_entry(report, name)
-        output = getattr(args, output_attr)
+        output = args.output_dir / f"BENCH_{name}.json"
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
         print(f"\nwrote {output}")

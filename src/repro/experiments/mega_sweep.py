@@ -12,9 +12,10 @@ per-request records, and :func:`~repro.parallel.shards.run_sharded_sweep`
 splitting each cell into arrival shards across the ambient worker pool
 (``repro-fm mega-sweep --shards 0 --workers 0`` saturates the machine).
 
-The shard/worker split is attested elsewhere (tests + CI smoke): the
-merged histograms are bit-identical for any ``--workers``, and
-``--shards 1`` equals a plain streamed run of the whole cell.
+The shard/worker split is attested in ``tests/experiments/test_shards.py``:
+this experiment's merged histograms are bit-identical for any
+``--workers``, and ``--shards 1`` equals a plain streamed run of the
+whole cell.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def run_mega_sweep(
     shards: int | None = None,
     workers: int | None = None,
 ) -> ShardedSweepResult:
-    """The sharded sweep itself (also the CI smoke entry point)."""
+    """The sharded sweep itself (also the worker-identity test's entry point)."""
     scale = scale or default_scale()
     table = lucene_table(scale)
     workload = lucene_mod.lucene_workload(profile_size=scale.profile_size)

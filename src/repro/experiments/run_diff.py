@@ -6,7 +6,7 @@ Fig. 8 load point:
 * **Self-diff attestation** — an FM run diffed against its own
   ledger round-trip: the histogram state restores bit-identically, so
   every delta is *exactly* zero and the verdict is a certain null
-  (this is the CI `diff-smoke` invariant).
+  (the invariant ``benchmarks/check_regression.py`` gates in ``BENCH_diff.json``).
 * **FM vs FIX-3** — the paper's headline comparison with error bars:
   the p99 delta carries a bootstrap CI and a significance verdict
   instead of a bare point gap.  The explanation ranking attributes the

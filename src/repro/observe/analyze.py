@@ -609,6 +609,12 @@ def _report_track(
     tail = [latency >= threshold for latency in latencies]
     rest = [latency < threshold for latency in latencies]
     tail_count = sum(tail)
+    if not tail_count:
+        # Only a NaN threshold compares false against every latency.
+        raise ConfigurationError(
+            f"track {track!r}: the tail is empty (threshold {threshold} ms); "
+            "its completed latencies are not numbers"
+        )
     component_names = dict.fromkeys(
         name for kind in dict.fromkeys(completed(columns.kinds)) for name in kind
     )

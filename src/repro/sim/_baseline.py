@@ -8,8 +8,9 @@ heap.  It exists for one purpose: **bit-for-bit equivalence checks**.
 The optimized engine must produce byte-identical
 :class:`~repro.sim.metrics.SimulationResult` metrics on fixed seeds,
 and both the equivalence tests (``tests/sim/test_engine_equivalence``)
-and the engine benchmark (``benchmarks/run_all.py`` →
-``BENCH_engine.json``) diff against this implementation.
+and the engine benchmark (``benchmarks/run_all.py --only engine`` →
+``BENCH_engine.json``, gated by ``benchmarks/check_regression.py``)
+diff against this implementation.
 
 Do **not** optimize, extend, or "clean up" this file — its value is
 that it never changes.  It shares :class:`~repro.sim.request.SimRequest`

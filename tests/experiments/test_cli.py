@@ -123,6 +123,16 @@ class TestDiffPlane:
         out = capsys.readouterr().out
         assert "repro diff" in out
         assert "verdict:" in out
+        assert main(["diff", "FM@45", "FM@45", "--runs", str(runs), "--json"]) == 0
+        self_diff = json.loads(capsys.readouterr().out)
+        assert self_diff["identical"] is True
+        assert self_diff["null"] is True
+        deltas = [q["delta_ms"] for q in self_diff["quantiles"]]
+        assert deltas == [0.0] * len(deltas)
+        assert main(["diff", "FM@45", "FIX-3@45", "--runs", str(runs), "--json"]) == 0
+        versus = json.loads(capsys.readouterr().out)
+        assert versus["identical"] is False
+        assert versus["quantiles"]
 
     def test_diff_subcommand_bad_ref_exits_2(self, tmp_path, capsys):
         assert main(["diff", "a", "b", "--runs", str(tmp_path / "none")]) == 2

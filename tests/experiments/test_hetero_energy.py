@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -43,6 +44,19 @@ class TestWiring:
         from repro.cli import EXPERIMENTS
 
         assert "hetero-energy" in EXPERIMENTS
+
+    def test_traced_run_carries_energy_into_analyze(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "hetero-trace.json"
+        report = tmp_path / "hetero-report.json"
+        assert main(["hetero-energy", "--scale", "tiny", "--trace", str(trace)]) == 0
+        metrics = json.loads(trace.read_text())["otherData"]["metrics"]
+        names = {*metrics["counters"], *metrics["gauges"]}
+        assert any(name.startswith("sim.energy.") for name in names)
+        assert main(["analyze", str(trace), "--json", str(report)]) == 0
+        assert "joules_per_query" in json.loads(report.read_text())["tracks"]["sim"]
+        capsys.readouterr()
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ across worker processes.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -71,6 +72,17 @@ class TestFigure:
         assert table.columns[0] == "window"
         assert any(row[5] == "yes" for row in table.rows)  # a breached window
         assert any("fault" in row[6] for row in table.rows)
+
+    def test_traced_run_replays_through_top(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "live-tail-trace.json"
+        assert main(["live-tail", "--scale", "tiny", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["top", "--replay", str(trace), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(window["count"] for window in payload["windows"]) > 0
+        assert "fault" in {event["kind"] for event in payload["events"]}
 
     def test_registered_in_cli(self):
         from repro.cli import EXPERIMENTS

@@ -10,6 +10,7 @@ on which process hosts the run).
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -26,6 +27,8 @@ from repro.experiments.replication_phase import (
 )
 from repro.faults.scenarios import overload_flip
 from repro.schedulers import FMScheduler
+from repro.telemetry import Telemetry, install
+from repro.telemetry.export import write_chrome_trace
 from repro.workloads import bing as bing_mod
 from repro.workloads.arrivals import PoissonProcess
 
@@ -112,10 +115,31 @@ class TestFlipDeterminism:
         assert from_workers[0] == from_workers[1] == in_process
 
 
+@pytest.fixture(scope="module")
+def traced_experiment(tmp_path_factory):
+    """The experiment at TINY with a pipeline installed, as
+    ``repro-fm replication-phase --trace`` runs it: (result, trace)."""
+    telemetry = Telemetry()
+    with install(telemetry):
+        result = experiment_replication_phase(TINY)
+    trace = tmp_path_factory.mktemp("replication") / "trace.json"
+    return result, write_chrome_trace(trace, telemetry)
+
+
 @pytest.mark.slow
 class TestExperimentSmoke:
-    def test_structure_and_acceptance(self):
-        result = experiment_replication_phase(TINY)
+    def test_trace_exports_controller_metrics(self, traced_experiment):
+        _, trace = traced_experiment
+        metrics = json.loads(trace.read_text())["otherData"]["metrics"]
+        names = {*metrics["counters"], *metrics["gauges"]}
+        assert {
+            "cluster.adaptive.mode",
+            "cluster.adaptive.windows",
+            "cluster.adaptive.brownouts",
+        } <= names
+
+    def test_structure_and_acceptance(self, traced_experiment):
+        result, _ = traced_experiment
         # Phase diagram, the past-the-knee diff panel (DESIGN.md §15),
         # and the flip timeline.
         assert len(result.tables) == 3

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.parallel.shards as shards_mod
 from repro.errors import ConfigurationError
+from repro.experiments import mega_sweep
+from repro.experiments.config import Scale
 from repro.experiments.runner import cell_seed, stream_policy
 from repro.parallel import (
     default_shards,
@@ -62,6 +64,19 @@ class TestWorkerCountInvariance:
         serial = _sweep(workers=1)
         _assert_sweeps_identical(serial, _sweep(workers=2))
         _assert_sweeps_identical(serial, _sweep(workers=4))
+
+    def test_mega_sweep_experiment_is_identical_across_workers(self, monkeypatch):
+        # The experiment's own grid (FM on its Lucene table, FIX-4, three
+        # loads) with 1000-request cells: four shards of 250 still cross
+        # shard boundaries, in about a second instead of the CLI's 35 s.
+        monkeypatch.setattr(mega_sweep, "REQUESTS_PER_SCALE_UNIT", 100)
+        scale = Scale("smoke", num_requests=10, profile_size=300, num_bins=24, step_ms=100.0)
+        serial = mega_sweep.run_mega_sweep(scale, shards=4, workers=1)
+        assert serial.num_requests == 1000
+        for workers in (2, 4):
+            _assert_sweeps_identical(
+                serial, mega_sweep.run_mega_sweep(scale, shards=4, workers=workers)
+            )
 
     def test_vectorized_shards_match_scalar_shards(self):
         _assert_sweeps_identical(

@@ -219,6 +219,19 @@ class TestCLI:
         assert main(["analyze", "/nonexistent/trace.json"]) == 2
         assert "repro analyze" in capsys.readouterr().out
 
+    def test_all_nan_latencies_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "nan.jsonl"
+        span = {
+            "name": "run", "track": "sim", "lane": 0, "span_id": 1,
+            "parent_id": None, "start_ms": 0.0, "end_ms": 1.0, "kind": "span",
+            "attrs": {"latency_ms": "nan"},
+        }
+        path.write_text(json.dumps(span) + "\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "track 'sim': the tail is empty" in capsys.readouterr().out
+
     def test_render_includes_slowest_and_context(self, sim_run, tmp_path):
         _, telemetry = sim_run
         path = write_chrome_trace(tmp_path / "t.json", telemetry)

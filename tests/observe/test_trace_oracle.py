@@ -555,8 +555,13 @@ class TestReportErrors:
         assert report.tracks["sim"].shed_count == 1
         assert report.tracks["sim"].count == 9
 
-    def test_nan_latencies_fail_as_before(self):
+    def test_nan_latencies_name_the_track(self):
+        # The loops divide by the empty tail; the report refuses the
+        # track instead, which ``repro analyze`` turns into exit 2.
         spans = [
             Span("run", "sim", 0, 1, None, 0.0, 1.0, "span", {"latency_ms": "nan"})
         ]
-        assert outcome(analyze_spans, spans) == outcome(ref_analyze_spans, spans)
+        assert outcome(ref_analyze_spans, spans)[0] == "ZeroDivisionError"
+        error, message = outcome(analyze_spans, spans)
+        assert error == "ConfigurationError"
+        assert message.startswith("track 'sim': the tail is empty")
