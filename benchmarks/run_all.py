@@ -466,7 +466,6 @@ def bench_engine(scale: Scale) -> dict:
     import numpy as np
 
     from repro.experiments.runner import run_sweep
-    from repro.parallel import run_sweep_parallel
     from repro.schedulers import FixedScheduler
     from repro.sim._baseline import simulate_baseline
 
@@ -531,10 +530,10 @@ def bench_engine(scale: Scale) -> dict:
         repeats=2,
     )
     started = time.perf_counter()
-    serial = run_sweep(sweep_schedulers, workload, sweep_rps, **sweep_kwargs)
+    serial = run_sweep(sweep_schedulers, workload, sweep_rps, workers=1, **sweep_kwargs)
     serial_s = time.perf_counter() - started
     started = time.perf_counter()
-    parallel = run_sweep_parallel(
+    parallel = run_sweep(
         sweep_schedulers, workload, sweep_rps, workers=sweep_workers, **sweep_kwargs
     )
     parallel_s = time.perf_counter() - started
@@ -546,7 +545,7 @@ def bench_engine(scale: Scale) -> dict:
         for name in serial.policies()
     )
     if not sweep_identical:
-        raise AssertionError("parallel sweep diverged from the serial runner")
+        raise AssertionError("pooled sweep diverged from the in-process sweep")
 
     # --- mega-sweep machinery (DESIGN.md §14) -------------------------
     # (a) Kernel A/B on an overloaded FIX-4 cell, where the running set
@@ -759,8 +758,8 @@ def build_engine_report(scale: Scale) -> dict:
             "tentative completions). reference is the frozen pre-"
             "optimization engine (repro.sim._baseline) run on the "
             "same trace — results are asserted bit-identical before "
-            "any speedup is reported. sweep compares run_sweep vs "
-            "run_sweep_parallel on the same grid; parallel_speedup "
+            "any speedup is reported. sweep compares run_sweep at 1 "
+            "worker (in-process) vs 4 on the same grid; parallel_speedup "
             "(like mega.sharded.pooled_speedup) reads 'not "
             "measurable' when workers exceed cpu_count. mega is the "
             "DESIGN.md §14 machinery: mega.cell A/Bs the loop-only "

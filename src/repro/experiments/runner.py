@@ -4,11 +4,18 @@ Mirrors the paper's methodology: an open-loop client replays a request
 trace at a configured RPS against one simulated server; each plotted
 point is the 99th-percentile / mean response time over the run
 (optionally averaged over independent seeds).
+
+A load sweep is a grid of independent seeded ``(policy, rps, repeat)``
+cells: :func:`run_sweep` runs them through
+:func:`repro.parallel.map_cells` (in-process, or across a process pool
+with ``workers > 1``) and reduces the per-cell summaries once, in grid
+order, so the worker count never changes a result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -43,8 +50,8 @@ def cell_seed(seed: int, rps_index: int, repeat: int) -> int:
 
     Depends only on the base seed and the cell coordinates — *not* on
     the policy — so every policy sees identical traces at each load
-    point (the paired-comparison discipline), and so the serial and
-    parallel sweep paths reproduce each other's runs exactly.
+    point (the paired-comparison discipline), and so a cell replays the
+    same run in whichever process executes it.
     """
     return seed + 7919 * rps_index + 104729 * repeat
 
@@ -53,8 +60,8 @@ def latency_histogram(result: SimulationResult) -> LogHistogram:
     """One run's completion latencies as a mergeable log histogram.
 
     Built per run and merged across repeats (rather than recorded
-    straight into an accumulating histogram) so the serial and parallel
-    sweep paths perform the identical sequence of float operations.
+    straight into an accumulating histogram) so a sweep performs the
+    identical sequence of float operations at any worker count.
     """
     histogram = LogHistogram()
     for record in result.records:
@@ -122,12 +129,9 @@ def stream_policy(
     num_requests: int,
     quantum_ms: float = 5.0,
     seed: int = 42,
-    process: ArrivalProcess | None = None,
     spin_fraction: float = 0.25,
-    fault_plan: "FaultPlan | None" = None,
-    chunk_size: int = 8192,
 ):
-    """:func:`run_policy` for million-request runs: arrivals are
+    """:func:`run_policy` for million-request runs: Poisson arrivals are
     generated lazily and completions fold into a
     :class:`~repro.sim.stream.StreamSummary`, so memory stays
     O(running set) regardless of ``num_requests`` (DESIGN.md §14).
@@ -140,19 +144,13 @@ def stream_policy(
     """
     from repro.sim.stream import simulate_stream
 
-    arrivals = workload.arrival_stream(
-        num_requests,
-        process or PoissonProcess(rps),
-        seed=seed,
-        chunk_size=chunk_size,
-    )
+    arrivals = workload.arrival_stream(num_requests, PoissonProcess(rps), seed=seed)
     return simulate_stream(
         arrivals,
         scheduler,
         cores=cores,
         quantum_ms=quantum_ms,
         spin_fraction=spin_fraction,
-        fault_plan=fault_plan,
     )
 
 
@@ -166,8 +164,8 @@ class PolicySeries:
     mean_ms: list[float]
     results: list[list[SimulationResult]] = field(default_factory=list)
     #: Per-load-point completion-latency histograms, merged across
-    #: repeats — the mergeable summary that lets the parallel sweep
-    #: runner combine worker results without shipping full records.
+    #: repeats — the mergeable summary that lets a pooled sweep
+    #: combine worker results without shipping full records.
     histograms: list[LogHistogram] = field(default_factory=list)
 
     def tail_points(self) -> list[tuple[float, float]]:
@@ -199,6 +197,42 @@ class SweepResult:
         return 1.0 - new / base
 
 
+def _run_cell(
+    cell: tuple[int, int, int],
+    *,
+    schedulers: list[Scheduler],
+    workload: Workload,
+    rps_values: list[float],
+    cores: int,
+    num_requests: int,
+    quantum_ms: float,
+    seed: int,
+    phi: float,
+    keep_results: bool,
+    spin_fraction: float,
+    topology: Topology | None,
+) -> tuple[float, float, LogHistogram, SimulationResult | None]:
+    """Run one ``(policy, rps, repeat)`` sweep cell and summarize it."""
+    policy_index, rps_index, repeat = cell
+    result = run_policy(
+        schedulers[policy_index],
+        workload,
+        rps=rps_values[rps_index],
+        cores=cores,
+        num_requests=num_requests,
+        quantum_ms=quantum_ms,
+        seed=cell_seed(seed, rps_index, repeat),
+        spin_fraction=spin_fraction,
+        topology=topology,
+    )
+    return (
+        result.tail_latency_ms(phi),
+        result.mean_latency_ms(),
+        latency_histogram(result),
+        result if keep_results else None,
+    )
+
+
 def run_sweep(
     schedulers: Sequence[Scheduler] | dict[str, Scheduler],
     workload: Workload,
@@ -221,75 +255,72 @@ def run_sweep(
     *identical traces* at each point, the paired-comparison discipline
     that makes relative improvements meaningful at small run counts.
 
-    ``workers`` fans the policy x load grid across a process pool (see
-    :mod:`repro.parallel`); ``None`` uses the ambient default installed
-    by :func:`repro.parallel.default_workers` (1 — in-process serial —
-    unless something like the CLI's ``--workers`` raised it).  Both
-    paths produce identical results for the same seed.
+    ``workers`` fans the cells across a process pool
+    (:func:`repro.parallel.map_cells`); ``None`` uses the ambient
+    default installed by :func:`repro.parallel.default_workers` (1 —
+    in-process — unless something like the CLI's ``--workers`` raised
+    it), ``0`` all CPUs.  Results are identical for any worker count:
+    the cells come back in grid order and reduce in that order.
+    In-process cells record into the ambient telemetry pipeline; pool
+    workers record nothing.
     """
-    if workers is None:
-        from repro.parallel import get_default_workers
-
-        workers = get_default_workers()
-    if workers != 1:
-        from repro.parallel import run_sweep_parallel
-
-        return run_sweep_parallel(
-            schedulers,
-            workload,
-            rps_values,
-            cores,
-            num_requests=num_requests,
-            quantum_ms=quantum_ms,
-            seed=seed,
-            repeats=repeats,
-            phi=phi,
-            keep_results=keep_results,
-            spin_fraction=spin_fraction,
-            workers=workers,
-            topology=topology,
-        )
+    from repro.parallel import map_cells, resolve_workers
 
     named = _named_schedulers(schedulers)
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1: {repeats}")
-
+    # An empty grid would otherwise surface as a bare ValueError from
+    # multiprocessing (Pool(processes=0)) or an empty result — reject
+    # it at every worker count with a message that names the axis.
+    if not named:
+        raise ConfigurationError("run_sweep needs at least one scheduler")
+    if not rps_values:
+        raise ConfigurationError("run_sweep needs at least one rps value")
+    rps_values = [float(r) for r in rps_values]
+    run = partial(
+        _run_cell,
+        schedulers=[scheduler for _, scheduler in named],
+        workload=workload,
+        rps_values=rps_values,
+        cores=cores,
+        num_requests=num_requests,
+        quantum_ms=quantum_ms,
+        seed=seed,
+        phi=phi,
+        keep_results=keep_results,
+        spin_fraction=spin_fraction,
+        topology=topology,
+    )
+    cells = [
+        (policy_index, rps_index, repeat)
+        for policy_index in range(len(named))
+        for rps_index in range(len(rps_values))
+        for repeat in range(repeats)
+    ]
+    summaries = iter(map_cells(run, cells, resolve_workers(workers)))
     series: dict[str, PolicySeries] = {}
-    for name, scheduler in named:
+    for name, _ in named:
         tails: list[float] = []
         means: list[float] = []
         kept: list[list[SimulationResult]] = []
         histograms: list[LogHistogram] = []
-        for rps_index, rps in enumerate(rps_values):
-            run_tails: list[float] = []
-            run_means: list[float] = []
-            point_results: list[SimulationResult] = []
-            point_histogram = LogHistogram()
-            for repeat in range(repeats):
-                result = run_policy(
-                    scheduler,
-                    workload,
-                    rps=rps,
-                    cores=cores,
-                    num_requests=num_requests,
-                    quantum_ms=quantum_ms,
-                    seed=cell_seed(seed, rps_index, repeat),
-                    spin_fraction=spin_fraction,
-                    topology=topology,
-                )
-                run_tails.append(result.tail_latency_ms(phi))
-                run_means.append(result.mean_latency_ms())
-                point_histogram.update(latency_histogram(result))
-                if keep_results:
-                    point_results.append(result)
+        for _ in rps_values:
+            # One load point's repeats, in repeat order whatever order
+            # the pool ran them in.
+            run_tails, run_means, run_histograms, run_results = zip(
+                *(next(summaries) for _ in range(repeats))
+            )
             tails.append(float(np.mean(run_tails)))
             means.append(float(np.mean(run_means)))
+            point_histogram = LogHistogram()
+            for histogram in run_histograms:
+                point_histogram.update(histogram)
             histograms.append(point_histogram)
             if keep_results:
-                kept.append(point_results)
+                kept.append(list(run_results))
         series[name] = PolicySeries(
             policy=name,
-            rps_values=[float(r) for r in rps_values],
+            rps_values=list(rps_values),
             tail_ms=tails,
             mean_ms=means,
             results=kept,

@@ -1,35 +1,40 @@
-"""Parallel load-sweep execution across a multiprocessing pool.
+"""Cell-parallel execution for load sweeps.
 
-A load sweep is embarrassingly parallel: every ``(policy, rps, repeat)``
-cell is an independent simulation whose trace is fully determined by
-:func:`repro.experiments.runner.cell_seed`.  This module fans the grid
-across worker processes and reassembles a
-:class:`~repro.experiments.runner.SweepResult` that is **identical** to
-the serial one — same seeds, same per-cell tail/mean floats, same
-merge order for the per-load-point latency histograms — so ``--workers``
-is purely a wall-clock knob, never a results knob.
+A load sweep is embarrassingly parallel: every cell — a
+``(policy, rps, repeat)`` run of :func:`repro.experiments.runner.run_sweep`
+or a ``(policy, rps, shard)`` slice of
+:func:`repro.parallel.shards.run_sharded_sweep` — is an independent
+simulation whose trace is fully determined by
+:func:`repro.experiments.runner.cell_seed`.  :func:`map_cells` runs a
+cell function over a sweep's cells, in-process or across a process
+pool, and returns the results in cell order either way; each sweep
+reduces them in that fixed order, so ``--workers`` is purely a
+wall-clock knob, never a results knob.
 
 What crosses the process boundary:
 
-* *once per worker, at pool start*: the sweep spec (schedulers,
-  workload, grid) via the pool initializer — not per cell;
-* *once per cell, back to the parent*: the cell's tail/mean floats and
-  its mergeable :class:`~repro.telemetry.histogram.LogHistogram` of
-  completion latencies (plus the full
-  :class:`~repro.sim.metrics.SimulationResult` only under
-  ``keep_results=True``).
+* *once per worker, at pool start*: the cell function with its bound
+  sweep arguments (schedulers, workload, grid), via the pool
+  initializer — not per cell;
+* *once per cell*: the cell coordinates out, and the cell's summary
+  back to the parent.
 
-Caveats: schedulers and workloads must be picklable under the ``spawn``
-start method (``fork``, the default where available, only needs the
-*returned* values to pickle); and ambient telemetry pipelines are
-deliberately not propagated into workers — per-run spans recorded in a
-child process could never reach the parent's exporter, so workers run
-with telemetry uninstalled rather than silently dropping data.
+Caveats: cell functions and their bound arguments must be picklable
+under the ``spawn`` start method (``fork``, the default where
+available, only needs the *returned* values to pickle); and ambient
+telemetry pipelines are deliberately not propagated into pool workers —
+spans recorded in a child process could never reach the parent's
+exporter, so workers run with telemetry uninstalled rather than
+silently dropping data.  In-process cells record into the caller's
+ambient pipeline.
 
-The ambient-default machinery (:func:`default_workers`,
-:func:`set_default_workers`) lets an entry point such as the experiment
-CLI's ``--workers N`` parallelize *every* sweep an experiment performs
-without threading a parameter through each figure function.
+The ambient defaults (:func:`default_workers`, :func:`default_shards`
+and their get/set/resolve functions) let an entry point such as the
+experiment CLI's ``--workers N`` parallelize *every* sweep an
+experiment performs without threading a parameter through each figure
+function.  Both are stored raw: ``0`` ("all CPUs", "one shard per
+worker") resolves at use time, so the value tracks the machine it runs
+on rather than the machine it was set on.
 """
 
 from __future__ import annotations
@@ -37,295 +42,157 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (
-    PolicySeries,
-    SweepResult,
-    _named_schedulers,
-    cell_seed,
-    latency_histogram,
-    run_policy,
-)
-from repro.hetero.pools import Topology
-from repro.sim.api import Scheduler
-from repro.sim.metrics import SimulationResult
 from repro.telemetry import install
-from repro.telemetry.histogram import LogHistogram
-from repro.workloads.workload import Workload
 
 __all__ = [
-    "run_sweep_parallel",
+    "map_cells",
     "default_workers",
     "get_default_workers",
     "set_default_workers",
     "resolve_workers",
-    # re-exported from repro.parallel.shards (imported at module end)
-    "run_sharded_sweep",
-    "shard_sizes",
-    "ShardedSweepResult",
     "default_shards",
     "get_default_shards",
     "set_default_shards",
     "resolve_shards",
+    # re-exported from repro.parallel.shards (imported at module end)
+    "run_sharded_sweep",
+    "shard_sizes",
+    "ShardedSweepResult",
 ]
 
-_DEFAULT_WORKERS = 1
+#: The raw ambient defaults, ``0`` included (resolved at use time).
+_DEFAULTS = {"workers": 1, "shards": 1}
 
 
-def get_default_workers() -> int:
-    """The ambient worker count :func:`run_sweep` consults (default 1).
-
-    Returned *raw*: ``0`` means "all CPUs" and stays ``0`` here —
-    resolution to a concrete process count happens at use time in
-    :func:`resolve_workers`, so the value tracks the machine it runs
-    on rather than the machine it was set on.
-    """
-    return _DEFAULT_WORKERS
+def _checked(kind: str, value: int) -> int:
+    if value < 0:
+        raise ConfigurationError(f"{kind} must be >= 0: {value}")
+    return value
 
 
-def set_default_workers(workers: int) -> None:
-    """Set the ambient worker count for subsequent sweeps.
-
-    ``workers=0`` means "all CPUs" and is stored as ``0`` (resolved
-    against ``os.cpu_count()`` each time a sweep starts, not once
-    here).  Prefer the scoped :func:`default_workers` context manager
-    unless the process is single-purpose (like the CLI).
-    """
-    global _DEFAULT_WORKERS
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0: {workers}")
-    _DEFAULT_WORKERS = workers
+def _set_default(kind: str, value: int) -> None:
+    _DEFAULTS[kind] = _checked(kind, value)
 
 
 @contextlib.contextmanager
-def default_workers(workers: int) -> Iterator[int]:
-    """Scoped :func:`set_default_workers`: every sweep in the block runs
-    with ``workers`` processes unless it passes an explicit count.
-
-    Saves and restores the *raw* ambient value, so nesting
-    ``default_workers(4)`` inside ``default_workers(0)`` restores the
-    "all CPUs" sentinel, not whatever CPU count it resolved to once.
-    """
-    previous = _DEFAULT_WORKERS
-    set_default_workers(workers)
+def _scoped_default(kind: str, value: int) -> Iterator[int]:
+    """Set an ambient default for the block, then restore the *raw*
+    previous value (a nested scope inside ``0`` restores ``0``, not
+    whatever it once resolved to)."""
+    previous = _DEFAULTS[kind]
+    _set_default(kind, value)
     try:
-        yield _DEFAULT_WORKERS
+        yield value
     finally:
-        set_default_workers(previous)
+        _DEFAULTS[kind] = previous
+
+
+def get_default_workers() -> int:
+    """The ambient worker count sweeps consult (default 1), raw: ``0``
+    means "all CPUs" and stays ``0`` here."""
+    return _DEFAULTS["workers"]
+
+
+def set_default_workers(workers: int) -> None:
+    """Set the ambient worker count for subsequent sweeps (``0`` = all
+    CPUs, stored raw).  Prefer the scoped :func:`default_workers` unless
+    the process is single-purpose (like the CLI)."""
+    _set_default("workers", workers)
+
+
+def default_workers(workers: int) -> contextlib.AbstractContextManager[int]:
+    """Scoped :func:`set_default_workers`: every sweep in the block runs
+    with ``workers`` processes unless it passes an explicit count."""
+    return _scoped_default("workers", workers)
 
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a worker count: ``None`` -> the ambient default,
     ``0`` -> all CPUs (resolved now, at use time), otherwise the
     (positive) count itself."""
-    if workers is None:
-        workers = _DEFAULT_WORKERS
-    if workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0: {workers}")
-    return workers
+    workers = _checked("workers", _DEFAULTS["workers"] if workers is None else workers)
+    return workers or os.cpu_count() or 1
 
 
-@dataclass
-class _SweepSpec:
-    """Everything a worker needs, shipped once via the pool initializer."""
-
-    named: list[tuple[str, Scheduler]]
-    workload: Workload
-    rps_values: list[float]
-    cores: int
-    num_requests: int
-    quantum_ms: float
-    seed: int
-    phi: float
-    keep_results: bool
-    spin_fraction: float
-    topology: Topology | None = None
+def get_default_shards() -> int:
+    """The ambient shard count (default 1 — unsharded), raw: ``0``
+    means "one shard per worker" and stays ``0`` here."""
+    return _DEFAULTS["shards"]
 
 
-# Per-worker-process sweep spec, set by the pool initializer.  Only the
-# pool path uses this global (a worker process is single-purpose); the
-# in-process serial fallback threads the spec explicitly so nested and
-# re-entrant sweeps — which the sharded orchestrator performs — never
-# observe a foreign or torn-down spec.
-_SPEC: _SweepSpec | None = None
+def set_default_shards(shards: int) -> None:
+    """Set the ambient shard count for subsequent sharded sweeps
+    (``0`` = match the resolved worker count, stored raw)."""
+    _set_default("shards", shards)
 
 
-def _init_worker(spec: _SweepSpec) -> None:
-    global _SPEC
-    _SPEC = spec
+def default_shards(shards: int) -> contextlib.AbstractContextManager[int]:
+    """Scoped :func:`set_default_shards`."""
+    return _scoped_default("shards", shards)
 
 
-def _run_cell_pooled(
-    cell: tuple[int, int, int],
-) -> tuple[float, float, LogHistogram, SimulationResult | None]:
-    """Pool entry point: bind the worker-process spec, then run."""
-    spec = _SPEC
-    assert spec is not None, "worker used before initialization"
-    return _run_cell(cell, spec)
+def resolve_shards(shards: int | None, workers: int) -> int:
+    """Normalize a shard count: ``None`` -> ambient default, ``0`` ->
+    one shard per (resolved) worker, otherwise the count itself."""
+    shards = _checked("shards", _DEFAULTS["shards"] if shards is None else shards)
+    return shards or max(1, workers)
 
 
-def _run_cell(
-    cell: tuple[int, int, int],
-    spec: _SweepSpec,
-) -> tuple[float, float, LogHistogram, SimulationResult | None]:
-    """Run one ``(policy, rps, repeat)`` cell and summarize it."""
-    policy_index, rps_index, repeat = cell
-    _, scheduler = spec.named[policy_index]
+# The cell function of a pool worker process, set by the pool
+# initializer.  Only pool workers touch it: the in-process path calls
+# the function directly, so a sweep nested inside another sweep's cell
+# never observes a foreign or torn-down function.
+_RUN: Callable | None = None
+
+
+def _init_worker(run: Callable) -> None:
+    global _RUN
+    _RUN = run
+
+
+def _run_pooled(cell):
+    assert _RUN is not None, "worker used before initialization"
     # Telemetry recorded in a worker could never reach the parent's
     # pipeline; run with none installed instead of dropping data
     # silently (an inherited ambient pipeline would otherwise resolve).
     with install(None):
-        result = run_policy(
-            scheduler,
-            spec.workload,
-            rps=spec.rps_values[rps_index],
-            cores=spec.cores,
-            num_requests=spec.num_requests,
-            quantum_ms=spec.quantum_ms,
-            seed=cell_seed(spec.seed, rps_index, repeat),
-            spin_fraction=spec.spin_fraction,
-            topology=spec.topology,
-        )
-    return (
-        result.tail_latency_ms(spec.phi),
-        result.mean_latency_ms(),
-        latency_histogram(result),
-        result if spec.keep_results else None,
-    )
+        return _RUN(cell)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """``fork`` where available (cheap, no pickling of the spec's
-    schedulers/workload), ``spawn`` otherwise."""
+    """``fork`` where available (cheap, no pickling of the cell
+    function's schedulers/workload), ``spawn`` otherwise."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def run_sweep_parallel(
-    schedulers: Sequence[Scheduler] | dict[str, Scheduler],
-    workload: Workload,
-    rps_values: Sequence[float],
-    cores: int,
-    num_requests: int = 2000,
-    quantum_ms: float = 5.0,
-    seed: int = 42,
-    repeats: int = 1,
-    phi: float = 0.99,
-    keep_results: bool = False,
-    spin_fraction: float = 0.25,
-    workers: int | None = None,
-    topology: Topology | None = None,
-) -> SweepResult:
-    """:func:`repro.experiments.runner.run_sweep`, fanned across a
-    process pool.
+def map_cells(run: Callable, cells: Sequence, workers: int) -> list:
+    """``[run(cell) for cell in cells]``, in cell order.
 
-    Accepts the same arguments plus ``workers`` (``None`` -> ambient
-    default, ``0`` -> all CPUs) and returns an identical
-    :class:`~repro.experiments.runner.SweepResult`: each cell runs with
-    the seed :func:`cell_seed` assigns it, and per-load-point
-    histograms merge in repeat order, exactly as the serial loop does.
+    In-process when ``workers <= 1`` or there is at most one cell;
+    otherwise across a pool of ``min(workers, len(cells))`` processes.
+    ``workers`` is a resolved count (see :func:`resolve_workers`).
     """
-    named = _named_schedulers(schedulers)
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1: {repeats}")
-    # An empty grid would otherwise surface as a bare ValueError from
-    # multiprocessing (Pool(processes=0)) — reject it here with a
-    # message that names the missing axis.
-    if not named:
-        raise ConfigurationError("run_sweep_parallel needs at least one scheduler")
-    if not rps_values:
-        raise ConfigurationError("run_sweep_parallel needs at least one rps value")
-    workers = resolve_workers(workers)
-
-    cells = [
-        (policy_index, rps_index, repeat)
-        for policy_index in range(len(named))
-        for rps_index in range(len(rps_values))
-        for repeat in range(repeats)
-    ]
-    spec = _SweepSpec(
-        named=named,
-        workload=workload,
-        rps_values=[float(r) for r in rps_values],
-        cores=cores,
-        num_requests=num_requests,
-        quantum_ms=quantum_ms,
-        seed=seed,
-        phi=phi,
-        keep_results=keep_results,
-        spin_fraction=spin_fraction,
-        topology=topology,
-    )
-    if workers <= 1 or len(cells) == 1:
-        # Not worth a pool; run the cells in-process through the same
-        # code path (so workers=1 still exercises _run_cell).  The spec
-        # is passed explicitly — no module global is touched, so a
-        # sweep may run inside another sweep's cell.
-        summaries = [_run_cell(cell, spec) for cell in cells]
-    else:
-        context = _pool_context()
-        with context.Pool(
-            processes=min(workers, len(cells)),
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            # chunksize=1: cells are heterogeneous (high-RPS cells
-            # simulate far more events), so fine-grained dispatch is
-            # what makes the speedup near-linear.
-            summaries = pool.map(_run_cell_pooled, cells, chunksize=1)
-
-    by_cell = dict(zip(cells, summaries))
-    series: dict[str, PolicySeries] = {}
-    for policy_index, (name, _) in enumerate(named):
-        tails: list[float] = []
-        means: list[float] = []
-        kept: list[list[SimulationResult]] = []
-        histograms: list[LogHistogram] = []
-        for rps_index in range(len(rps_values)):
-            run_tails: list[float] = []
-            run_means: list[float] = []
-            point_results: list[SimulationResult] = []
-            point_histogram = LogHistogram()
-            for repeat in range(repeats):
-                tail, mean, histogram, result = by_cell[
-                    (policy_index, rps_index, repeat)
-                ]
-                run_tails.append(tail)
-                run_means.append(mean)
-                point_histogram.update(histogram)
-                if keep_results:
-                    point_results.append(result)
-            tails.append(float(np.mean(run_tails)))
-            means.append(float(np.mean(run_means)))
-            histograms.append(point_histogram)
-            if keep_results:
-                kept.append(point_results)
-        series[name] = PolicySeries(
-            policy=name,
-            rps_values=list(spec.rps_values),
-            tail_ms=tails,
-            mean_ms=means,
-            results=kept,
-            histograms=histograms,
-        )
-    return SweepResult(series=series)
+    if workers <= 1 or len(cells) < 2:
+        return [run(cell) for cell in cells]
+    with _pool_context().Pool(
+        processes=min(workers, len(cells)),
+        initializer=_init_worker,
+        initargs=(run,),
+    ) as pool:
+        # chunksize=1: cells are heterogeneous (high-RPS cells simulate
+        # far more events), so fine-grained dispatch is what makes the
+        # speedup near-linear.
+        return pool.map(_run_pooled, cells, chunksize=1)
 
 
 # Sharded mega-sweep orchestration (imports from this module, so the
 # import sits below everything it needs — DESIGN.md §14).
 from repro.parallel.shards import (  # noqa: E402
     ShardedSweepResult,
-    default_shards,
-    get_default_shards,
-    resolve_shards,
     run_sharded_sweep,
-    set_default_shards,
     shard_sizes,
 )

@@ -15,6 +15,10 @@ The interface mirrors the hooks the paper's runtime exposes:
   and may raise its parallelism.  Degrees never decrease (Theorem 1).
   ``quiescent`` lets a policy say a request's ticks can no longer do
   anything, so the engine skips the hook for them.
+* ``on_start`` — notification that a request began executing, for
+  every start: the policy's own admissions and the ones the engine
+  forces (one ``e1`` request per exit at saturation, and a
+  ``wait_for_exit`` on an idle system).
 * ``on_exit`` — called when a request completes.
 
 Policies that never change degree mid-flight (SEQ, FIX-N, Adaptive, RC)
@@ -247,6 +251,11 @@ class Scheduler(ABC):
         that changes what a tick does must not inherit a True answer.
         """
         return False
+
+    def on_start(self, ctx: SchedulerContext, request: "SimRequest") -> None:
+        """Notification that a request began executing, at
+        ``request.start_ms`` with ``request.degree`` threads (optional
+        hook; the engine's forced ``e1`` starts reach it too)."""
 
     def on_exit(self, ctx: SchedulerContext, request: "SimRequest") -> None:
         """Notification that a request completed (optional hook)."""

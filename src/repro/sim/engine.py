@@ -850,6 +850,7 @@ class Engine:
                 self.now_ms + self.quantum_ms,
                 Event(EventKind.QUANTUM, request_id=request.rid),
             )
+        self.scheduler.on_start(self._ctx, request)
         if self.telemetry is not None:
             tracer = self.telemetry.tracer
             if self.now_ms > request.arrival_ms:

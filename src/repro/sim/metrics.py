@@ -163,19 +163,22 @@ class ShedRecord:
         return self.shed_ms - self.arrival_ms
 
 
-class MetricsCollector:
-    """Accumulates records and time-weighted integrals during a run."""
+class _Integrals:
+    """The time-weighted system integrals every collector keeps —
+    threads, busy cores, requests in system and observed time — fed by
+    the engine one constant-rate interval at a time, plus the run's
+    fault counters and energy report."""
 
-    def __init__(self, cores: int) -> None:
+    def __init__(self, cores: int, residency: bool) -> None:
         self.cores = cores
-        self.records: list[RequestRecord] = []
-        self.shed_records: list[ShedRecord] = []
         self.fault_stats = FaultStats()
         self._thread_integral = 0.0
         self._core_busy_integral = 0.0
         self._system_count_integral = 0.0
         self._observed_ms = 0.0
-        self._thread_residency: dict[int, float] = {}
+        #: Milliseconds spent at each total thread count (``None`` for
+        #: a collector that keeps no residency).
+        self._thread_residency: dict[int, float] | None = {} if residency else None
         #: Set by the engine at end of run on a heterogeneous topology;
         #: stays ``None`` on a run without a topology.
         self.energy_report: EnergyReport | None = None
@@ -190,9 +193,9 @@ class MetricsCollector:
         self._core_busy_integral += busy_cores * dt_ms
         self._system_count_integral += system_count * dt_ms
         self._observed_ms += dt_ms
-        self._thread_residency[total_threads] = (
-            self._thread_residency.get(total_threads, 0.0) + dt_ms
-        )
+        residency = self._thread_residency
+        if residency is not None:
+            residency[total_threads] = residency.get(total_threads, 0.0) + dt_ms
 
     def observe_intervals(
         self,
@@ -213,7 +216,8 @@ class MetricsCollector:
         # An int times a float converts the int first: the same products.
         threads = float(total_threads)
         in_system = float(system_count)
-        resident = self._thread_residency.get(total_threads, 0.0)
+        residency = self._thread_residency
+        resident = residency.get(total_threads, 0.0) if residency is not None else 0.0
         for dt_ms in dts_ms:
             thread_integral += threads * dt_ms
             core_busy_integral += busy_cores * dt_ms
@@ -224,8 +228,17 @@ class MetricsCollector:
         self._core_busy_integral = core_busy_integral
         self._system_count_integral = system_count_integral
         self._observed_ms = observed_ms
-        if dts_ms:
-            self._thread_residency[total_threads] = resident
+        if dts_ms and residency is not None:
+            residency[total_threads] = resident
+
+
+class MetricsCollector(_Integrals):
+    """Accumulates records and time-weighted integrals during a run."""
+
+    def __init__(self, cores: int) -> None:
+        super().__init__(cores, residency=True)
+        self.records: list[RequestRecord] = []
+        self.shed_records: list[ShedRecord] = []
 
     def record(self, request: SimRequest) -> None:
         """Snapshot a completed request."""

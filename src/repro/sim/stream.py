@@ -21,12 +21,13 @@ worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.sim.api import Scheduler
 from repro.sim.engine import ArrivalSpec, Engine
+from repro.sim.metrics import _Integrals
 from repro.sim.request import SimRequest
 from repro.telemetry.histogram import LogHistogram
 
@@ -131,62 +132,18 @@ class StreamSummary:
         }
 
 
-class StreamingCollector:
-    """Duck-typed drop-in for :class:`MetricsCollector` that keeps no
-    per-request records: each completion folds into the histogram and
-    the counters, so collector memory is O(1) in request count."""
+class StreamingCollector(_Integrals):
+    """Drop-in for :class:`~repro.sim.metrics.MetricsCollector` (a
+    sibling on the same integrals, not a subclass) that keeps no
+    per-request records nor thread residency: each completion folds
+    into the histogram and the counters, so collector memory is O(1) in
+    request count."""
 
     def __init__(self, cores: int) -> None:
-        self.cores = cores
+        super().__init__(cores, residency=False)
         self.histogram = LogHistogram()
         self.completions = 0
         self.sheds = 0
-        self.fault_stats = FaultStats()
-        self._thread_integral = 0.0
-        self._core_busy_integral = 0.0
-        self._system_count_integral = 0.0
-        self._observed_ms = 0.0
-        #: Engine contract parity (set at end of heterogeneous runs;
-        #: streamed runs are homogeneous so it stays ``None``).
-        self.energy_report = None
-
-    def observe_interval(
-        self, dt_ms: float, total_threads: int, busy_cores: float, system_count: int
-    ) -> None:
-        if dt_ms < 0:
-            raise SimulationError(f"negative interval {dt_ms}")
-        self._thread_integral += total_threads * dt_ms
-        self._core_busy_integral += busy_cores * dt_ms
-        self._system_count_integral += system_count * dt_ms
-        self._observed_ms += dt_ms
-
-    def observe_intervals(
-        self,
-        dts_ms: Sequence[float],
-        total_threads: int,
-        busy_cores: float,
-        system_count: int,
-    ) -> None:
-        """:meth:`MetricsCollector.observe_intervals` without the thread
-        residency."""
-        if dts_ms and min(dts_ms) < 0:
-            raise SimulationError(f"negative interval {min(dts_ms)}")
-        thread_integral = self._thread_integral
-        core_busy_integral = self._core_busy_integral
-        system_count_integral = self._system_count_integral
-        observed_ms = self._observed_ms
-        # An int times a float converts the int first: the same products.
-        threads = float(total_threads)
-        in_system = float(system_count)
-        for dt_ms in dts_ms:
-            thread_integral += threads * dt_ms
-            core_busy_integral += busy_cores * dt_ms
-            system_count_integral += in_system * dt_ms
-            observed_ms += dt_ms
-        self._thread_integral = thread_integral
-        self._core_busy_integral = core_busy_integral
-        self._system_count_integral = system_count_integral
-        self._observed_ms = observed_ms
 
     def record(self, request: SimRequest) -> None:
         if request.finish_ms is None:

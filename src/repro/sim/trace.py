@@ -8,7 +8,10 @@ observed at each decision.  Traces make scheduler behaviour inspectable
 decisions are the spans of its lane (``examples/request_timeline.py``).
 
 The recorder is transparent: it forwards every hook to the wrapped
-policy and never changes decisions.
+policy and never changes decisions.  Admissions are recorded when the
+request starts (the ``on_start`` hook), so the starts the engine forces
+— an ``e1`` request admitted at an exit, a ``wait_for_exit`` on an idle
+system — get their ``admit`` too, at the request's ``start_ms``.
 
 Decisions are recorded as *instant spans* on the ``"sim.sched"`` track
 of a :class:`~repro.telemetry.Tracer` — the unified span model shared
@@ -94,13 +97,11 @@ class TraceRecorder(Scheduler):
     def _record_admission(
         self, ctx: SchedulerContext, request: SimRequest, decision: Admission
     ) -> Admission:
-        if decision.action is AdmissionAction.START:
-            kind, detail = TraceEventKind.ADMIT, f"d{decision.degree}"
-        elif decision.action is AdmissionAction.DELAY:
-            kind, detail = TraceEventKind.DELAY, f"{decision.delay_ms:g}ms"
-        else:
-            kind, detail = TraceEventKind.QUEUE, "e1"
-        self._emit(ctx, kind, request.rid, detail)
+        # A START is recorded by on_start, which every start reaches.
+        if decision.action is AdmissionAction.DELAY:
+            self._emit(ctx, TraceEventKind.DELAY, request.rid, f"{decision.delay_ms:g}ms")
+        elif decision.action is not AdmissionAction.START:
+            self._emit(ctx, TraceEventKind.QUEUE, request.rid, "e1")
         return decision
 
     def on_arrival(self, ctx: SchedulerContext, request: SimRequest) -> Admission:
@@ -128,6 +129,10 @@ class TraceRecorder(Scheduler):
     def quiescent(self, request: SimRequest) -> bool:
         # A skipped tick changes nothing, so it would record nothing.
         return self.inner.quiescent(request)
+
+    def on_start(self, ctx: SchedulerContext, request: SimRequest) -> None:
+        self._emit(ctx, TraceEventKind.ADMIT, request.rid, f"d{request.degree}")
+        self.inner.on_start(ctx, request)
 
     def on_exit(self, ctx: SchedulerContext, request: SimRequest) -> None:
         self._emit(

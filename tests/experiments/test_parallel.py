@@ -1,24 +1,39 @@
-"""Serial/parallel sweep equivalence: ``--workers`` must be a pure
-wall-clock knob.  For any fixed seed the parallel runner has to produce
-the same per-load-point tails, means, p50/p99, and merged latency
-histograms as the serial loop — bucket for bucket."""
+"""Sweep executor equivalence: ``--workers`` must be a pure wall-clock
+knob.  For any fixed seed :func:`run_sweep` has to produce, at every
+worker count, the same per-load-point tails, means, p50/p99, merged
+latency histograms and kept records as a plain serial loop over the
+grid — float for float, bucket for bucket."""
 
 from __future__ import annotations
 
+import multiprocessing
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.parallel as parallel_mod
 from repro.errors import ConfigurationError
-from repro.experiments.runner import cell_seed, latency_histogram, run_sweep
+from repro.experiments.runner import (
+    PolicySeries,
+    SweepResult,
+    cell_seed,
+    latency_histogram,
+    run_policy,
+    run_sweep,
+)
 from repro.parallel import (
     default_workers,
     get_default_workers,
     resolve_workers,
-    run_sweep_parallel,
+    run_sharded_sweep,
     set_default_workers,
 )
 from repro.core.speedup import TabulatedSpeedup, UniformSpeedupModel
 from repro.schedulers import FixedScheduler, SequentialScheduler
+from repro.telemetry import Telemetry, install
+from repro.telemetry.histogram import LogHistogram
 from repro.workloads.synthetic import DemandDistribution
 from repro.workloads.workload import Workload
 
@@ -36,6 +51,50 @@ def _schedulers():
     return {"SEQ": SequentialScheduler(), "FIX-2": FixedScheduler(2)}
 
 
+def _serial_sweep(
+    schedulers, workload, rps_values, cores, num_requests=2000, quantum_ms=5.0,
+    seed=42, repeats=1, phi=0.99, keep_results=False, spin_fraction=0.25,
+):
+    """The oracle: a plain loop over policies, loads and repeats, one
+    run at a time, accumulating as it goes."""
+    series = {}
+    for name, scheduler in schedulers.items():
+        tails, means, kept, histograms = [], [], [], []
+        for rps_index, rps in enumerate(rps_values):
+            run_tails, run_means, point_results = [], [], []
+            point_histogram = LogHistogram()
+            for repeat in range(repeats):
+                result = run_policy(
+                    scheduler,
+                    workload,
+                    rps=rps,
+                    cores=cores,
+                    num_requests=num_requests,
+                    quantum_ms=quantum_ms,
+                    seed=cell_seed(seed, rps_index, repeat),
+                    spin_fraction=spin_fraction,
+                )
+                run_tails.append(result.tail_latency_ms(phi))
+                run_means.append(result.mean_latency_ms())
+                point_histogram.update(latency_histogram(result))
+                if keep_results:
+                    point_results.append(result)
+            tails.append(float(np.mean(run_tails)))
+            means.append(float(np.mean(run_means)))
+            histograms.append(point_histogram)
+            if keep_results:
+                kept.append(point_results)
+        series[name] = PolicySeries(
+            policy=name,
+            rps_values=[float(r) for r in rps_values],
+            tail_ms=tails,
+            mean_ms=means,
+            results=kept,
+            histograms=histograms,
+        )
+    return SweepResult(series=series)
+
+
 def _assert_sweeps_identical(serial, parallel):
     assert serial.policies() == parallel.policies()
     for name in serial.policies():
@@ -50,9 +109,12 @@ def _assert_sweeps_identical(serial, parallel):
             assert hs._buckets == hp._buckets  # identical merged buckets
             assert hs.percentile(0.50) == hp.percentile(0.50)
             assert hs.percentile(0.99) == hp.percentile(0.99)
+        assert len(ours.results) == len(theirs.results)
+        for kept_s, kept_p in zip(ours.results, theirs.results):
+            assert [res.records for res in kept_s] == [res.records for res in kept_p]
 
 
-class TestSerialParallelEquivalence:
+class TestSweepMatchesSerialOracle:
     @settings(
         max_examples=8,
         deadline=None,
@@ -67,51 +129,114 @@ class TestSerialParallelEquivalence:
             max_size=2,
             unique=True,
         ),
+        keep_results=st.booleans(),
     )
-    def test_property_in_process_path(self, seed, repeats, rps_values):
-        """The cell-based runner (exercised in-process at workers=1)
-        must reproduce the serial loop for arbitrary sweep shapes."""
+    def test_property_matches_oracle_at_workers_1_and_2(
+        self, seed, repeats, rps_values, keep_results
+    ):
+        """In-process and pooled sweeps both reproduce the serial loop
+        for arbitrary sweep shapes."""
         kwargs = dict(
             num_requests=60,
             cores=4,
             seed=seed,
             repeats=repeats,
+            keep_results=keep_results,
         )
-        serial = run_sweep(_schedulers(), _workload(), rps_values, **kwargs)
-        parallel = run_sweep_parallel(
-            _schedulers(), _workload(), rps_values, workers=1, **kwargs
-        )
-        _assert_sweeps_identical(serial, parallel)
+        oracle = _serial_sweep(_schedulers(), _workload(), rps_values, **kwargs)
+        for workers in (1, 2):
+            _assert_sweeps_identical(
+                oracle,
+                run_sweep(
+                    _schedulers(), _workload(), rps_values, workers=workers, **kwargs
+                ),
+            )
 
     def test_multiprocess_pool_matches_serial(self):
         """The real pool: identical results with workers=2."""
         kwargs = dict(num_requests=150, cores=4, seed=1234, repeats=2)
         rps_values = [40.0, 100.0]
-        serial = run_sweep(_schedulers(), _workload(), rps_values, **kwargs)
-        parallel = run_sweep_parallel(
-            _schedulers(), _workload(), rps_values, workers=2, **kwargs
-        )
+        serial = _serial_sweep(_schedulers(), _workload(), rps_values, **kwargs)
+        parallel = run_sweep(_schedulers(), _workload(), rps_values, workers=2, **kwargs)
         _assert_sweeps_identical(serial, parallel)
 
     def test_keep_results_round_trips_records(self):
         kwargs = dict(num_requests=40, cores=4, seed=7, repeats=1, keep_results=True)
-        serial = run_sweep(_schedulers(), _workload(), [50.0], **kwargs)
-        parallel = run_sweep_parallel(
-            _schedulers(), _workload(), [50.0], workers=2, **kwargs
-        )
+        serial = run_sweep(_schedulers(), _workload(), [50.0], workers=1, **kwargs)
+        parallel = run_sweep(_schedulers(), _workload(), [50.0], workers=2, **kwargs)
         for name in serial.policies():
             for kept_s, kept_p in zip(serial[name].results, parallel[name].results):
                 assert [r.finish_ms for res in kept_s for r in res.records] == [
                     r.finish_ms for res in kept_p for r in res.records
                 ]
 
-    def test_run_sweep_workers_kwarg_delegates(self):
+    def test_ambient_workers_default_reaches_the_pool(self):
         kwargs = dict(num_requests=60, cores=4, seed=3, repeats=1)
-        serial = run_sweep(_schedulers(), _workload(), [30.0], **kwargs)
-        delegated = run_sweep(
-            _schedulers(), _workload(), [30.0], workers=2, **kwargs
+        serial = run_sweep(_schedulers(), _workload(), [30.0], workers=1, **kwargs)
+        with default_workers(2), mock.patch.object(
+            parallel_mod, "_pool_context", wraps=parallel_mod._pool_context
+        ) as ctx:
+            pooled = run_sweep(_schedulers(), _workload(), [30.0], **kwargs)
+        ctx.assert_called_once()
+        _assert_sweeps_identical(serial, pooled)
+
+
+class TestExecutorContract:
+    """Where a sweep's cells run decides what they can record, and a
+    pool must work without ``fork`` (macOS and Windows spawn)."""
+
+    def _run_spans(self, telemetry):
+        return [s for s in telemetry.tracer.by_track("sim") if s.name == "run"]
+
+    def test_in_process_cells_record_into_the_ambient_pipeline(self):
+        telemetry = Telemetry()
+        with install(telemetry):
+            sweep = run_sweep(
+                _schedulers(), _workload(), [40.0, 80.0], cores=4,
+                num_requests=30, repeats=2, keep_results=True, workers=1,
+            )
+        completed = sum(
+            len(result.records)
+            for name in sweep.policies()
+            for point in sweep[name].results
+            for result in point
         )
-        _assert_sweeps_identical(serial, delegated)
+        assert completed == 2 * 2 * 2 * 30
+        assert len(self._run_spans(telemetry)) == completed
+
+    def test_pool_workers_and_shards_record_nothing(self):
+        telemetry = Telemetry()
+        with install(telemetry):
+            run_sweep(
+                _schedulers(), _workload(), [40.0, 80.0], cores=4,
+                num_requests=30, workers=2,
+            )
+            for workers in (1, 2):
+                run_sharded_sweep(
+                    _schedulers(), _workload(), [40.0, 80.0], cores=4,
+                    num_requests=60, shards=2, workers=workers,
+                )
+        assert self._run_spans(telemetry) == []
+
+    def test_spawned_pools_return_the_in_process_results(self):
+        """The only check that cell functions and their bound arguments
+        pickle, which a ``spawn`` start method needs."""
+        from tests.experiments.test_shards import _assert_sweeps_identical as same_shards
+
+        sweep_kwargs = dict(cores=4, num_requests=40, seed=5, repeats=2)
+        shard_kwargs = dict(cores=4, num_requests=80, shards=2, seed=5)
+        in_process = (
+            run_sweep(_schedulers(), _workload(), [40.0], workers=1, **sweep_kwargs),
+            run_sharded_sweep(_schedulers(), _workload(), [40.0], workers=1, **shard_kwargs),
+        )
+        spawn = multiprocessing.get_context("spawn")
+        with mock.patch.object(parallel_mod, "_pool_context", return_value=spawn):
+            sweep = run_sweep(_schedulers(), _workload(), [40.0], workers=2, **sweep_kwargs)
+            shards = run_sharded_sweep(
+                _schedulers(), _workload(), [40.0], workers=2, **shard_kwargs
+            )
+        _assert_sweeps_identical(in_process[0], sweep)
+        same_shards(in_process[1], shards)
 
 
 class TestHistogramMergePath:
@@ -130,8 +255,6 @@ class TestHistogramMergePath:
         assert series.histograms[0].count == 3 * 30
 
     def test_latency_histogram_counts_completions(self):
-        from repro.experiments.runner import run_policy
-
         result = run_policy(
             SequentialScheduler(), _workload(), rps=40.0, cores=4, num_requests=25
         )
@@ -171,8 +294,9 @@ class TestWorkerConfiguration:
         finally:
             set_default_workers(baseline)
 
-    def test_repeats_validated(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeats_validated(self, workers):
         with pytest.raises(ConfigurationError):
-            run_sweep_parallel(
-                _schedulers(), _workload(), [30.0], cores=4, repeats=0
+            run_sweep(
+                _schedulers(), _workload(), [30.0], cores=4, repeats=0, workers=workers
             )

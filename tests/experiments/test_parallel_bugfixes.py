@@ -1,6 +1,6 @@
 """Regression tests for the parallel-runner bugs fixed alongside the
-mega-sweep work: the empty-grid ``Pool(processes=0)`` crash, the serial
-fallback clobbering the worker-process spec global, and ambient
+mega-sweep work: the empty-grid ``Pool(processes=0)`` crash, the
+in-process path clobbering the pool workers' global, and ambient
 ``workers=0`` resolving "all CPUs" at set time instead of use time."""
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ import pytest
 
 import repro.parallel as parallel_mod
 from repro.errors import ConfigurationError
+from repro.experiments.runner import _run_cell, run_sweep
 from repro.parallel import (
     default_workers,
     get_default_workers,
     resolve_workers,
-    run_sweep_parallel,
     set_default_workers,
 )
 from repro.core.speedup import TabulatedSpeedup, UniformSpeedupModel
@@ -34,44 +34,42 @@ def _workload():
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 class TestEmptyGridValidation:
     """An empty scheduler or rps axis used to reach
     ``Pool(processes=0)`` and die with a bare ValueError from
-    multiprocessing; now it's a ConfigurationError naming the axis."""
+    multiprocessing; now it's a ConfigurationError naming the axis, at
+    every worker count (the validation is grid-shape, not pool-size)."""
 
-    def test_no_schedulers_rejected(self):
+    def test_no_schedulers_rejected(self, workers):
         with pytest.raises(ConfigurationError, match="at least one scheduler"):
-            run_sweep_parallel({}, _workload(), [50.0], cores=4, workers=2)
+            run_sweep({}, _workload(), [50.0], cores=4, workers=workers)
 
-    def test_no_rps_values_rejected(self):
+    def test_no_rps_values_rejected(self, workers):
         with pytest.raises(ConfigurationError, match="at least one rps"):
-            run_sweep_parallel(
-                {"SEQ": SequentialScheduler()}, _workload(), [], cores=4, workers=2
+            run_sweep(
+                {"SEQ": SequentialScheduler()}, _workload(), [], cores=4, workers=workers
             )
 
-    def test_rejected_before_any_pool_is_created(self):
+    def test_rejected_before_any_pool_is_created(self, workers):
         with mock.patch.object(parallel_mod, "_pool_context") as ctx:
             with pytest.raises(ConfigurationError):
-                run_sweep_parallel({}, _workload(), [50.0], cores=4, workers=2)
+                run_sweep({}, _workload(), [50.0], cores=4, workers=workers)
         ctx.assert_not_called()
 
-    def test_empty_grid_also_rejected_serially(self):
-        # The validation is grid-shape, not pool-size: workers=1 too.
-        with pytest.raises(ConfigurationError, match="at least one scheduler"):
-            run_sweep_parallel({}, _workload(), [50.0], cores=4, workers=1)
 
+class TestInProcessWorkerGlobalIsolation:
+    """The in-process path used to write the module-global spec and
+    tear it down afterwards — so a nested sweep (e.g. one running
+    inside a sharded-sweep worker) would observe a foreign or torn-down
+    spec.  Cell functions now take their arguments explicitly and the
+    one worker global (the pool's cell function) belongs to pool
+    workers only."""
 
-class TestSerialFallbackSpecIsolation:
-    """The serial (workers=1) path used to write the module-global
-    ``_SPEC`` and tear it down via ``_init_worker(None)`` afterwards —
-    so a nested sweep (e.g. one running inside a sharded-sweep worker)
-    would observe a foreign or torn-down spec.  The spec is now
-    threaded explicitly and the global belongs to pool workers only."""
-
-    def test_serial_path_leaves_global_untouched(self):
+    def test_in_process_path_leaves_global_untouched(self):
         sentinel = object()
-        with mock.patch.object(parallel_mod, "_SPEC", sentinel):
-            result = run_sweep_parallel(
+        with mock.patch.object(parallel_mod, "_RUN", sentinel):
+            result = run_sweep(
                 {"SEQ": SequentialScheduler(), "FIX-2": FixedScheduler(2)},
                 _workload(),
                 [40.0, 80.0],
@@ -79,14 +77,15 @@ class TestSerialFallbackSpecIsolation:
                 num_requests=40,
                 workers=1,
             )
-            assert parallel_mod._SPEC is sentinel
+            assert parallel_mod._RUN is sentinel
         assert result.policies() == ["SEQ", "FIX-2"]
 
-    def test_run_cell_takes_spec_explicitly(self):
-        # The serial path must be callable with no global at all.
-        assert parallel_mod._SPEC is None
-        spec = parallel_mod._SweepSpec(
-            named=[("SEQ", SequentialScheduler())],
+    def test_run_cell_takes_its_arguments_explicitly(self):
+        # The in-process path must be callable with no global at all.
+        assert parallel_mod._RUN is None
+        tail, mean, histogram, result = _run_cell(
+            (0, 0, 0),
+            schedulers=[SequentialScheduler()],
             workload=_workload(),
             rps_values=[60.0],
             cores=4,
@@ -96,9 +95,9 @@ class TestSerialFallbackSpecIsolation:
             phi=0.99,
             keep_results=False,
             spin_fraction=0.25,
+            topology=None,
         )
-        tail, mean, histogram, result = parallel_mod._run_cell((0, 0, 0), spec)
-        assert parallel_mod._SPEC is None
+        assert parallel_mod._RUN is None
         assert histogram.count == 30
         assert tail >= mean > 0.0
         assert result is None

@@ -5,10 +5,12 @@ resolution machinery must keep its raw-value semantics."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.parallel.shards as shards_mod
+import repro.parallel as parallel_mod
 from repro.errors import ConfigurationError
 from repro.experiments import mega_sweep
 from repro.experiments.config import Scale
@@ -124,21 +126,25 @@ class TestShardSemantics:
         for a, b in zip(sweep["SEQ"], sweep["FIX-2"]):
             assert a.count == b.count
 
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one scheduler"):
-            run_sharded_sweep({}, _workload(), _RPS, cores=4, num_requests=10)
-        with pytest.raises(ConfigurationError, match="at least one rps"):
-            run_sharded_sweep(
-                _schedulers(), _workload(), [], cores=4, num_requests=10
-            )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_axes_rejected_before_any_pool_is_created(self, workers):
+        with mock.patch.object(parallel_mod, "_pool_context") as ctx:
+            with pytest.raises(ConfigurationError, match="at least one scheduler"):
+                run_sharded_sweep(
+                    {}, _workload(), _RPS, cores=4, num_requests=10, workers=workers
+                )
+            with pytest.raises(ConfigurationError, match="at least one rps"):
+                run_sharded_sweep(
+                    _schedulers(), _workload(), [], cores=4, num_requests=10,
+                    workers=workers,
+                )
+        ctx.assert_not_called()
 
-    def test_serial_path_leaves_worker_global_untouched(self):
-        from unittest import mock
-
+    def test_in_process_path_leaves_worker_global_untouched(self):
         sentinel = object()
-        with mock.patch.object(shards_mod, "_SPEC", sentinel):
+        with mock.patch.object(parallel_mod, "_RUN", sentinel):
             _sweep(workers=1)
-            assert shards_mod._SPEC is sentinel
+            assert parallel_mod._RUN is sentinel
 
 
 class TestShardSizes:

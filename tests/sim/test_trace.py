@@ -67,6 +67,30 @@ class TestTraceRecorder:
         simulate([_spec(0.0, 100.0)] * 3, recorder, cores=8, quantum_ms=5.0)
         assert _counts(recorder)[TraceEventKind.QUEUE] >= 1
 
+        # d1 at load 1, e1 from load 2: requests 1 and 2 queue behind
+        # request 0.  At its exit the table admits request 1, and the
+        # engine itself starts request 2 (one forced e1 start per exit).
+        # That forced start is an admit too, at its record's start_ms.
+        table = IntervalTable(
+            [
+                Schedule([ScheduleStep(0.0, 1)]),
+                Schedule([ScheduleStep(0.0, 1)], wait_for_exit=True),
+            ]
+        )
+        recorder = TraceRecorder(FMScheduler(table))
+        result = simulate([_spec(0.0, 100.0)] * 3, recorder, cores=8, quantum_ms=5.0)
+        counts = _counts(recorder)
+        assert counts[TraceEventKind.ADMIT] == counts[TraceEventKind.EXIT] == 3
+        admits = {
+            span.lane: span
+            for span in _decisions(recorder)
+            if span.name == TraceEventKind.ADMIT.value
+        }
+        for record in result.records:
+            assert admits[record.rid].start_ms == record.start_ms
+            assert admits[record.rid].attrs["detail"] == f"d{record.final_degree}"
+        assert max(r.start_ms for r in result.records) == 100.0
+
     def test_decisions_are_instants_with_load_and_detail(self):
         recorder = TraceRecorder(SequentialScheduler())
         simulate([_spec(0.0, 50.0)] * 4, recorder, cores=8)
