@@ -20,18 +20,19 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
+from typing import IO, Callable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import render_table
 from repro.sim.metrics import ATTRIBUTION_COMPONENTS
-from repro.telemetry.export import _collector_paused, span_from_dict
+from repro.telemetry.export import _collector_paused, _span_fields, open_text
 from repro.telemetry.spans import INSTANT, Span
 
 __all__ = [
@@ -48,6 +49,8 @@ __all__ = [
 
 #: Tracks holding one request per lane with queue/run/shed spans.
 _REQUEST_TRACKS = ("sim", "runtime")
+#: Tracks whose spans the cluster views are built from.
+_CLUSTER_TRACKS = ("cluster", "cluster.hedge")
 #: Counters worth echoing into a tail report, when present.
 _CONTEXT_COUNTERS = (
     "sim.arrivals",
@@ -70,6 +73,17 @@ _CONTEXT_COUNTERS = (
 #: a pre-attribution run span (coarse two-way split), a shed span.
 _COARSE = ("queue_ms", "execute_ms")
 _SHED = ("queue_ms",)
+#: Characters the trace reader takes from the file per read (at least;
+#: a value longer than the text held doubles the next read).
+_READ_CHARS = 1 << 16
+#: The errors a malformed event or span raises while it is read or
+#: turned into a row.
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+#: ``json``'s whitespace between tokens.
+_WHITESPACE = re.compile(r"[ \t\n\r]*").match
+#: The end of one object and the start of the next in an array.
+_BOUNDARY = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{").match
+_DECODE = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -116,6 +130,266 @@ class TraceData:
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
+class _NotChrome(Exception):
+    """The file is not one JSON object with a ``traceEvents`` key."""
+
+
+class _Text:
+    """A text file read a piece at a time: ``text[pos:]`` is read and
+    not yet consumed."""
+
+    def __init__(self, handle: IO[str]) -> None:
+        self._read = handle.read
+        self.text = ""
+        self.pos = 0
+        self.done = False
+
+    def more(self) -> bool:
+        """Drop the consumed text and append the next piece; False at
+        the end of the file."""
+        if self.done:
+            return False
+        rest = self.text[self.pos :]
+        piece = self._read(max(_READ_CHARS, len(rest)))
+        if not piece:
+            self.done = True
+            return False
+        self.text = rest + piece
+        self.pos = 0
+        return True
+
+    def peek(self) -> str:
+        """Skip whitespace: the next character, ``""`` at the end."""
+        while True:
+            self.pos = _WHITESPACE(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self.more():
+                return ""
+
+    def take(self, allowed: str) -> str:
+        """Consume the next character, which must be one of ``allowed``."""
+        char = self.peek()
+        if not char or char not in allowed:
+            raise _NotChrome
+        self.pos += 1
+        return char
+
+    def value(self) -> object:
+        """Decode the JSON value at the next character."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODE(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self.more():  # cut off at the end of what was read
+                    continue
+                raise _NotChrome from None
+            # A number can run on into the next piece ("1e" + "-7").
+            if len(self.text) - end < 3 and self.more():
+                continue
+            self.pos = end
+            return value
+
+    def elements(self) -> Iterator[object]:
+        """The values of the array whose ``[`` was just consumed.
+
+        The values up to the last ``},{`` of the text read are decoded
+        in one call, wrapped in brackets: ``json`` shares key strings
+        within a call, and the per-call cost is paid once per run.  The
+        wrapped text decodes, to its last character, only when the cut
+        falls between two elements of this array: a cut inside a string
+        or a nested value leaves it unbalanced, and one past the array's
+        ``]`` ends the decode early.  Otherwise (a run is tried once per
+        text read), and for the values after the cut, each is decoded
+        by :meth:`value`, whose read on brings the next run.
+        """
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        text = cut = None
+        while True:
+            if self.text is not text:
+                text = self.text
+                cut = _last_boundary(text, self.pos)
+            if cut is not None and self.pos < cut.start():
+                run = "[" + text[self.pos : cut.start() + 1] + "]"
+                try:
+                    values, end = _DECODE(run)
+                except json.JSONDecodeError:  # the cut is inside an element
+                    end = -1
+                if end == len(run):
+                    self.pos = cut.end() - 1
+                    yield from values
+                    continue
+                cut = None
+            value = self.value()
+            last = self.take(",]") == "]"
+            yield value
+            if last:
+                return
+
+
+def _last_boundary(text: str, start: int) -> re.Match | None:
+    """The last ``},{`` (whitespace allowed) in ``text[start:]``."""
+    end = len(text)
+    while (end := text.rfind("}", start, end)) >= 0:
+        if boundary := _BOUNDARY(text, end):
+            return boundary
+    return None
+
+
+class _ChromePass:
+    """One pass over a Chrome trace-event document, handing each span
+    event to a sink as :class:`Span` fields.
+
+    It reads what ``json.loads`` followed by the old per-event loop
+    read, a piece of text at a time (:meth:`_Text.elements`): the last
+    ``traceEvents`` and ``otherData`` keys win, a span's id is its
+    event's position plus one, and an event's error is raised only once
+    the whole text is known to parse (a text that does not parse is
+    read as JSONL).
+    ``names``, when given, are the final pid names of an earlier pass,
+    for documents that name a process after its first span event.
+    """
+
+    def __init__(self, new_sink: Callable, names: dict | None = None) -> None:
+        self._new_sink = new_sink
+        self._fixed = names
+        self._events = False
+        self._other = None
+
+    def read(self, handle: IO[str]) -> "_ChromePass":
+        text = _Text(handle)
+        text.take("{")
+        if text.peek() == "}":
+            text.pos += 1
+        else:
+            while True:
+                if text.peek() != '"':
+                    raise _NotChrome
+                key = text.value()
+                text.take(":")
+                if key == "traceEvents":
+                    if text.peek() == "[":
+                        text.pos += 1
+                        self._take(text.elements())
+                    else:
+                        self._take(text.value())
+                else:
+                    value = text.value()
+                    if key == "otherData":
+                        self._other = value
+                if text.take(",}") == "}":
+                    break
+        if text.peek() or not self._events:
+            raise _NotChrome
+        if self.failure is not None:
+            raise self.failure
+        if not self.count:
+            raise ConfigurationError("trace document holds no span events")
+        self.metrics = (self._other or {}).get("metrics")
+        return self
+
+    def _take(self, events: object) -> None:
+        """Feed one ``traceEvents`` value's events to a new sink."""
+        self._events = True
+        self.sink = sink = self._new_sink()
+        add = sink.add
+        self.names = names = {} if self._fixed is None else self._fixed
+        learn = self._fixed is None
+        self.count = count = 0
+        self.late = False
+        self.failure: Exception | None = None
+        try:
+            numbered = enumerate(events)
+        except TypeError as error:  # traceEvents is no container
+            self.failure = error
+            return
+        for index, event in numbered:
+            try:
+                get = event.get
+                phase = get("ph")
+                if phase == "X" or phase == "i":
+                    start_ms = float(get("ts", 0.0)) / 1000.0
+                    duration_ms = float(get("dur", 0.0)) / 1000.0
+                    pid = get("pid")
+                    instant = phase == "i"
+                    args = get("args")
+                    add(
+                        get("name", ""),
+                        names.get(pid, str(pid)),
+                        int(get("tid", 0)),
+                        index + 1,
+                        None,
+                        start_ms,
+                        start_ms if instant else start_ms + duration_ms,
+                        INSTANT if instant else "span",
+                        args if type(args) is dict else dict(get("args", {})),
+                    )
+                    count += 1
+                elif phase == "M" and learn and get("name") == "process_name":
+                    names[event["pid"]] = get("args", {}).get("name", "")
+                    self.late = self.late or count > 0
+            except _MALFORMED as error:
+                self.failure = error
+                break
+        for _ in numbered:  # the rest of the text must still parse
+            pass
+        self.count = count
+
+
+class _SpanList:
+    """The sink :func:`load_trace` reads into: the spans themselves."""
+
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
+
+    def add(self, *fields) -> None:
+        self.spans.append(Span(*fields))
+
+
+def _read_trace(path: Path, new_sink: Callable) -> tuple:
+    """Read a Chrome trace or span JSONL file into a sink made by
+    ``new_sink()``: ``(sink, metrics)``, ``metrics`` ``None`` for JSONL.
+
+    The file is read ``_READ_CHARS`` characters at a time, through
+    :func:`open_text` (so ``.gz`` is decompressed), and a Chrome
+    document's events are decoded a piece at a time, so besides the
+    sink only one piece of text and its events are held.  A file is
+    Chrome when it parses as one JSON object with a ``traceEvents``
+    key, else it is read as JSONL, one line at a time: the detection,
+    the span ids and the errors are those of parsing the whole text
+    first.  A document
+    that names a process after its first span event is read a second
+    time, so that the last name given to a pid names all of its spans.
+    Callers read with the cyclic GC paused (:class:`_collector_paused`):
+    the sinks hold only acyclic data, and what they keep lives until
+    the caller returns.
+    """
+    try:
+        with open_text(path) as handle:
+            chrome = _ChromePass(new_sink).read(handle)
+        if chrome.late:
+            with open_text(path) as handle:
+                chrome = _ChromePass(new_sink, chrome.names).read(handle)
+        return chrome.sink, chrome.metrics
+    except _NotChrome:
+        pass
+    sink = new_sink()
+    count = 0
+    with open_text(path) as handle:
+        for text in handle:
+            for line in text.splitlines():
+                line = line.strip()
+                if line:
+                    sink.add(*_span_fields(json.loads(line)))
+                    count += 1
+    if not count:
+        raise ConfigurationError(f"{path}: no spans found (empty trace?)")
+    return sink, None
+
+
 def load_trace(path: str | Path) -> TraceData:
     """Load Chrome trace-event JSON or span JSONL (auto-detected).
 
@@ -123,82 +397,14 @@ def load_trace(path: str | Path) -> TraceData:
     decompressed transparently — long traced runs compress ~20x, so
     archived experiment traces ship gzipped.
 
-    The parse and the span rebuild run with the cyclic GC paused
-    (:class:`repro.telemetry.export._collector_paused`): both build only
-    acyclic data (the JSON document, spans and their attr dicts).
+    The file is streamed (:func:`_read_trace`): no text or document is
+    held beyond one piece and one event.  The read runs with the cyclic
+    GC paused (:class:`repro.telemetry.export._collector_paused`): the
+    spans and their attr dicts are acyclic and all survive the call.
     """
-    path = Path(path)
-    if path.suffix == ".gz":
-        text = gzip.decompress(path.read_bytes()).decode("utf-8")
-    else:
-        text = path.read_text()
     with _collector_paused():
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError:
-            document = None
-        if isinstance(document, dict) and "traceEvents" in document:
-            return _from_chrome(document)
-        # JSONL: one span dict per line.
-        spans = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                spans.append(span_from_dict(json.loads(line)))
-    if not spans:
-        raise ConfigurationError(f"{path}: no spans found (empty trace?)")
-    return TraceData(spans=spans)
-
-
-def _from_chrome(document: dict) -> TraceData:
-    """Rebuild spans from a Chrome trace-event document, in one pass.
-
-    A span's id is its event's position plus one, and its attrs are its
-    event's ``args`` dict itself: the document is private to
-    :func:`load_trace`.  Tracks are named by the ``process_name``
-    metadata, which the writer emits before every span event; a
-    document that names a process after its first span event is
-    re-resolved at the end, so the last name given to a pid names all
-    of its spans.
-    """
-    events = document.get("traceEvents", [])
-    track_of_pid: dict[int, str] = {}
-    spans: list[Span] = []
-    append = spans.append
-    named_late = False
-    for index, event in enumerate(events):
-        get = event.get
-        phase = get("ph")
-        if phase == "X" or phase == "i":
-            start_ms = float(get("ts", 0.0)) / 1000.0
-            duration_ms = float(get("dur", 0.0)) / 1000.0
-            pid = get("pid")
-            instant = phase == "i"
-            args = get("args")
-            append(
-                Span(
-                    get("name", ""),
-                    track_of_pid.get(pid, str(pid)),
-                    int(get("tid", 0)),
-                    index + 1,
-                    None,
-                    start_ms,
-                    start_ms if instant else start_ms + duration_ms,
-                    INSTANT if instant else "span",
-                    args if type(args) is dict else dict(get("args", {})),
-                )
-            )
-        elif phase == "M" and get("name") == "process_name":
-            track_of_pid[event["pid"]] = get("args", {}).get("name", "")
-            named_late = named_late or bool(spans)
-    if not spans:
-        raise ConfigurationError("trace document holds no span events")
-    if named_late:
-        pids = [event.get("pid") for event in events if event.get("ph") in ("X", "i")]
-        for span, pid in zip(spans, pids):
-            span.track = track_of_pid.get(pid, str(pid))
-    metrics = (document.get("otherData") or {}).get("metrics")
-    return TraceData(spans=spans, metrics=metrics)
+        sink, metrics = _read_trace(Path(path), _SpanList)
+        return TraceData(spans=sink.spans, metrics=metrics)
 
 
 # ----------------------------------------------------------------------
@@ -290,24 +496,170 @@ def _component_columns(
     return columns
 
 
-def _track_columns(spans: list[Span]) -> dict[str, _TrackColumns]:
-    """Per-track columns of every request track in ``spans`` (see
-    :func:`requests_from_spans`), tracks in the order it returns them."""
-    by_track: dict[str, list[Span]] = {}
-    for span in spans:
-        by_track.setdefault(span.track, []).append(span)
+class _RequestRows:
+    """One ``sim``/``runtime`` track's rows, built span by span in span
+    order: a row per ``run`` span (its attrs, else queue time from the
+    lane's ``queue`` spans) and per ``shed`` span.
 
-    out: dict[str, _TrackColumns] = {}
-    for track in _REQUEST_TRACKS:
-        columns = _request_track_columns(track, by_track.get(track, []))
-        if columns.lane:
-            out[track] = columns
-    if "cluster" in by_track:
-        hedged_lanes = {s.lane for s in by_track.get("cluster.hedge", [])}
-        views = _cluster_views(by_track["cluster"], hedged_lanes)
-        if views:
-            out["cluster"] = _TrackColumns.from_views("cluster", views)
-    return out
+    A ``run`` span without a ``queue_ms`` attr waits on every ``queue``
+    span of its lane, later ones included, so :meth:`columns` fills in
+    its queue-dependent fields from the finished per-lane sums.
+    """
+
+    def __init__(self, track: str) -> None:
+        self.table = table = _TrackColumns(track)
+        self.append_row = (
+            table.lane.append,
+            table.start_ms.append,
+            table.end_ms.append,
+            table.latency_ms.append,
+            table.kinds.append,
+            table.boosted.append,
+            table.shed.append,
+            table.energy_j.append,
+            table.pool.append,
+        )
+        #: Each row's component values in its kind's order, row after row.
+        self.flat: list[float] = []
+        self.queue_ms: dict[int, float] = {}
+        #: ``(row, flat position or -1, lane, start, duration, latency
+        #: is the wait plus the duration)`` per row awaiting its lane's sum.
+        self.pending: list[tuple] = []
+        #: One string per distinct pool name, as the rows keep them.
+        self.pools: dict[str, str] = {}
+        #: The first error one of the track's spans raised.
+        self.error: Exception | None = None
+
+    def add(self, name, lane, start_ms, end_ms, attrs: dict) -> None:
+        """Take one non-instant span of the track."""
+        if name == "queue":
+            duration = end_ms - start_ms if end_ms is not None else 0.0
+            self.queue_ms[lane] = self.queue_ms.get(lane, 0.0) + duration
+            return
+        if name == "run":
+            duration = end_ms - start_ms if end_ms is not None else 0.0
+            get = attrs.get
+            waited = get("queue_ms")
+            pending = waited is None and "queue_ms" not in attrs
+            if pending:
+                latency = get("latency_ms")
+                waits = latency is None and "latency_ms" not in attrs
+                latency = math.nan if waits else float(latency)
+                start = math.nan
+            else:
+                waited = float(waited)
+                latency = float(get("latency_ms", waited + duration))
+                start = start_ms - waited
+            if "service_ms" in attrs:
+                kind = ATTRIBUTION_COMPONENTS
+                position = -1
+                self.flat += map(float, map(get, ATTRIBUTION_COMPONENTS, repeat(0.0)))
+            else:  # pre-attribution trace: coarse two-way split
+                kind = _COARSE
+                position = len(self.flat)
+                self.flat += (waited, duration)
+            boosted = bool(get("boosted", False))
+            energy = float(get("energy_j", math.nan))
+            pool = str(get("pool", ""))
+            pool = self.pools.setdefault(pool, pool)
+            if pending:
+                self.pending.append(
+                    (len(self.table.lane), position, lane, start_ms, duration, waits)
+                )
+            shed = False
+        elif name == "shed":
+            latency = end_ms - start_ms if end_ms is not None else 0.0
+            self.flat.append(latency)
+            start, kind, boosted, shed, energy, pool = start_ms, _SHED, False, True, math.nan, ""
+        else:
+            return
+        lanes, starts, ends, latencies, kinds, boosts, sheds, energies, pools = self.append_row
+        lanes(lane)
+        starts(start)
+        ends(end_ms)
+        latencies(latency)
+        kinds(kind)
+        boosts(boosted)
+        sheds(shed)
+        energies(energy)
+        pools(pool)
+
+    def columns(self) -> _TrackColumns:
+        table, flat = self.table, self.flat
+        for row, position, lane, start_ms, duration, waits in self.pending:
+            waited = float(self.queue_ms.get(lane, 0.0))
+            if waits:
+                table.latency_ms[row] = float(waited + duration)
+            table.start_ms[row] = start_ms - waited
+            if position >= 0:
+                flat[position] = waited
+        table.hedged = [False] * len(table.lane)
+        table.components = _component_columns(table.kinds, flat)
+        return table
+
+
+class _TrackRows:
+    """The sink :func:`analyze_spans` and :func:`analyze_trace` feed
+    span by span (as :class:`Span` fields): rows for the request
+    tracks, and the spans of the cluster tracks.
+
+    Spans of other tracks are dropped.  A span's error is kept, not
+    raised, and :meth:`columns` raises the first one in the order the
+    tracks are built, so a trace streamed in file order fails as its
+    span list would: an unhashable track first, then ``sim``, then
+    ``runtime``.
+    """
+
+    def __init__(self) -> None:
+        self.rows = {track: _RequestRows(track) for track in _REQUEST_TRACKS}
+        self.cluster: dict[str, list[Span]] = {track: [] for track in _CLUSTER_TRACKS}
+        self.error: Exception | None = None
+
+    def add(self, name, track, lane, span_id, parent_id, start_ms, end_ms, kind, attrs) -> None:
+        try:
+            rows = self.rows.get(track)
+        except TypeError as error:  # an unhashable track
+            if self.error is None:
+                self.error = error
+            return
+        if rows is not None:
+            if kind != INSTANT and rows.error is None:
+                try:
+                    rows.add(name, lane, start_ms, end_ms, attrs)
+                except _MALFORMED as error:
+                    rows.error = error
+        elif track in self.cluster:
+            self.cluster[track].append(
+                Span(name, track, lane, span_id, parent_id, start_ms, end_ms, kind, attrs)
+            )
+
+    def columns(self) -> dict[str, _TrackColumns]:
+        """Per-track columns of every request track seen (see
+        :func:`requests_from_spans`), tracks in the order it returns them."""
+        if self.error is not None:
+            raise self.error
+        out: dict[str, _TrackColumns] = {}
+        for track, rows in self.rows.items():
+            if rows.error is not None:
+                raise rows.error
+            columns = rows.columns()
+            if columns.lane:
+                out[track] = columns
+        if self.cluster["cluster"]:
+            hedged_lanes = {s.lane for s in self.cluster["cluster.hedge"]}
+            views = _cluster_views(self.cluster["cluster"], hedged_lanes)
+            if views:
+                out["cluster"] = _TrackColumns.from_views("cluster", views)
+        return out
+
+
+def _track_columns(spans: list[Span]) -> dict[str, _TrackColumns]:
+    """Per-track columns of every request track in ``spans``."""
+    rows = _TrackRows()
+    add = rows.add
+    for s in spans:
+        add(s.name, s.track, s.lane, s.span_id, s.parent_id, s.start_ms, s.end_ms, s.kind, s.attrs)
+    return rows.columns()
 
 
 def requests_from_spans(spans: list[Span]) -> dict[str, list[RequestView]]:
@@ -320,62 +672,6 @@ def requests_from_spans(spans: list[Span]) -> dict[str, list[RequestView]]:
     when a ``cluster.hedge`` span exists for the lane.
     """
     return {track: columns.views() for track, columns in _track_columns(spans).items()}
-
-
-def _request_track_columns(track: str, spans: list[Span]) -> _TrackColumns:
-    """One ``sim``/``runtime`` track's rows, in span order: a row per
-    ``run`` span (its attrs, else queue time from the lane's ``queue``
-    spans) and per ``shed`` span."""
-    queue_ms: dict[int, float] = {}
-    for span in spans:
-        if span.name == "queue" and span.kind != INSTANT:
-            queue_ms[span.lane] = queue_ms.get(span.lane, 0.0) + span.duration_ms
-    columns = _TrackColumns(track)
-    lanes, starts, ends = columns.lane, columns.start_ms, columns.end_ms
-    latencies, kinds, boosted = columns.latency_ms, columns.kinds, columns.boosted
-    sheds, energies, pools = columns.shed, columns.energy_j, columns.pool
-    flat: list[float] = []
-    nan = math.nan
-    zeros = repeat(0.0)
-    for span in spans:
-        if span.kind == INSTANT:
-            continue
-        name = span.name
-        if name == "run":
-            attrs = span.attrs
-            get = attrs.get
-            lane = span.lane
-            duration = span.duration_ms
-            waited = float(get("queue_ms", queue_ms.get(lane, 0.0)))
-            latencies.append(float(get("latency_ms", waited + duration)))
-            if "service_ms" in attrs:
-                kinds.append(ATTRIBUTION_COMPONENTS)
-                flat += map(float, map(get, ATTRIBUTION_COMPONENTS, zeros))
-            else:  # pre-attribution trace: coarse two-way split
-                kinds.append(_COARSE)
-                flat += (waited, duration)
-            lanes.append(lane)
-            starts.append(span.start_ms - waited)
-            ends.append(span.end_ms)
-            boosted.append(bool(get("boosted", False)))
-            sheds.append(False)
-            energies.append(float(get("energy_j", nan)))
-            pools.append(str(get("pool", "")))
-        elif name == "shed":
-            duration = span.duration_ms
-            latencies.append(duration)
-            kinds.append(_SHED)
-            flat.append(duration)
-            lanes.append(span.lane)
-            starts.append(span.start_ms)
-            ends.append(span.end_ms)
-            boosted.append(False)
-            sheds.append(True)
-            energies.append(nan)
-            pools.append("")
-    columns.hedged = [False] * len(lanes)
-    columns.components = _component_columns(kinds, flat)
-    return columns
 
 
 def _cluster_views(
@@ -674,9 +970,21 @@ def analyze_spans(
     top: int = 5,
 ) -> AnalysisReport:
     """Tail-attribution report over reconstructed spans."""
+    return _analysis(lambda: _track_columns(spans), phi, counters, track, top)
+
+
+def _analysis(
+    build: Callable[[], dict[str, _TrackColumns]],
+    phi: float,
+    counters: dict[str, int] | None,
+    track: str | None,
+    top: int,
+) -> AnalysisReport:
+    """The report over the per-track columns ``build()`` returns, built
+    once ``phi`` is known to be valid."""
     if not 0.0 < phi < 1.0:
         raise ConfigurationError(f"phi must be in (0, 1): {phi}")
-    per_track = _track_columns(spans)
+    per_track = build()
     if track is not None:
         if track not in per_track:
             raise ConfigurationError(
@@ -703,11 +1011,17 @@ def analyze_spans(
 def analyze_trace(
     path: str | Path, phi: float = 0.99, track: str | None = None, top: int = 5
 ) -> AnalysisReport:
-    """Load a trace file and produce its tail-attribution report."""
-    trace = load_trace(path)
-    return analyze_spans(
-        trace.spans, phi=phi, counters=trace.counters(), track=track, top=top
-    )
+    """Load a trace file and produce its tail-attribution report.
+
+    The report is ``analyze_spans(load_trace(path).spans, ...)``'s, but
+    the file's spans go straight from the stream (:func:`_read_trace`)
+    into the rows :func:`analyze_spans` builds: the request tracks are
+    held as columns and only the cluster tracks as spans.
+    """
+    with _collector_paused():
+        rows, metrics = _read_trace(Path(path), _TrackRows)
+        counters = TraceData(spans=[], metrics=metrics).counters()
+        return _analysis(rows.columns, phi, counters, track, top)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A :class:`TraceRecorder` wraps any :class:`~repro.sim.api.Scheduler`
 and records every decision the policy makes — admissions, delays,
-queueing, degree changes, boosts, exits — with timestamps and the load
-observed at each decision.  Traces make scheduler behaviour inspectable
+queueing, sheds, degree changes, boosts, exits — with timestamps and
+the load observed at each decision.  Traces make scheduler behaviour inspectable
 ("why did request 17 climb to degree 3 at t = 210 ms?"): a request's
 decisions are the spans of its lane (``examples/request_timeline.py``).
 
@@ -46,6 +46,8 @@ class TraceEventKind(enum.Enum):
     ADMIT = "admit"
     DELAY = "delay"
     QUEUE = "queue"
+    #: A rejected request; its detail is ``deadline`` or ``backlog``.
+    SHED = "shed"
     DEGREE_UP = "degree_up"
     BOOST = "boost"
     EXIT = "exit"
@@ -98,10 +100,14 @@ class TraceRecorder(Scheduler):
         self, ctx: SchedulerContext, request: SimRequest, decision: Admission
     ) -> Admission:
         # A START is recorded by on_start, which every start reaches.
-        if decision.action is AdmissionAction.DELAY:
+        action = decision.action
+        if action is AdmissionAction.DELAY:
             self._emit(ctx, TraceEventKind.DELAY, request.rid, f"{decision.delay_ms:g}ms")
-        elif decision.action is not AdmissionAction.START:
+        elif action is AdmissionAction.WAIT_FOR_EXIT:
             self._emit(ctx, TraceEventKind.QUEUE, request.rid, "e1")
+        elif action is AdmissionAction.SHED:
+            detail = "deadline" if decision.deadline else "backlog"
+            self._emit(ctx, TraceEventKind.SHED, request.rid, detail)
         return decision
 
     def on_arrival(self, ctx: SchedulerContext, request: SimRequest) -> Admission:

@@ -9,8 +9,9 @@ Three consumers, three formats:
   (process, thread) lane events are emitted sorted by start time with
   longer spans first on ties, which is exactly the nesting order the
   viewers expect.  The event order is deterministic;
-  :func:`write_chrome_trace` writes the document as compact
-  single-line JSON (``python -m json.tool`` pretty-prints it).
+  :func:`write_chrome_trace` writes the same document as compact
+  single-line JSON, encoded a chunk of events at a time
+  (``python -m json.tool`` pretty-prints it).
 * :func:`write_spans_jsonl` / :func:`read_spans_jsonl` — one span per
   line, loss-free round-trip, for offline analysis (pandas, jq).
 * :func:`render_summary` — the plain-text dashboard: counters, gauges,
@@ -25,10 +26,14 @@ from __future__ import annotations
 
 import gc
 import gzip
+import io
 import json
 import math
+import os
+import threading
+from itertools import islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.telemetry.spans import INSTANT, Span
 
@@ -48,6 +53,12 @@ __all__ = [
 
 #: Attr value types JSON holds as they are (floats only when finite).
 _JSON_SCALARS = frozenset({str, int, bool, float, type(None)})
+#: Events :func:`write_chrome_trace` encodes per ``json`` call: enough
+#: to keep the per-call cost negligible, few enough that a chunk's
+#: dicts, the encoder's fragments and the text stay near a megabyte.
+_WRITE_EVENTS = 256
+#: ``json.dumps(..., separators=(",", ":"))`` as a reusable encoder.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def open_text(path: str | Path, mode: str = "r") -> IO[str]:
@@ -115,45 +126,29 @@ def _json_args(attrs: dict) -> dict:
 # ----------------------------------------------------------------------
 # Chrome trace_event format
 # ----------------------------------------------------------------------
-def to_chrome_trace(
-    spans: Sequence[Span], metrics: dict | None = None
-) -> dict:
-    """Build a Trace-Event-Format document from finished spans.
-
-    ``metrics`` (a :meth:`MetricsRegistry.as_dict` snapshot) rides along
-    under ``otherData`` so one file carries the whole story.
-
-    The document is fully deterministic: all metadata ("M") events come
-    first — ``process_name`` per track in sorted-track order, then
-    ``thread_name`` per (track, lane) in (track, lane) order — followed
-    by the span events in (pid, tid, start, -duration) order, ties kept
-    in input order.  Identical runs therefore give identical documents,
-    and the analyzer can rely on metadata preceding the events it
-    describes.
-    """
+def _chrome_events(spans: Sequence[Span]) -> Iterator[dict]:
+    """The trace's events in document order, one at a time (see
+    :func:`to_chrome_trace`): only the pid table, the lane list and the
+    sort keys are held for the whole trace."""
     pids = {track: pid for pid, track in enumerate(sorted({s.track for s in spans}), 1)}
-    events: list[dict] = []
     for track, pid in pids.items():
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": track},
-            }
-        )
+        yield {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": track},
+        }
     lanes = sorted({(pids[s.track], s.lane) for s in spans})
     for pid, lane in lanes:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": lane,
-                "args": {"name": f"lane {lane}"},
-            }
-        )
+        yield {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": lane,
+            "args": {"name": f"lane {lane}"},
+        }
+    del lanes
     # Viewer-friendly order: per lane, by start time, longest first on
     # ties — equal-start spans then nest outermost-first.  ``start - end``
     # is exactly ``-duration_ms`` (subtraction rounds the same either way
@@ -179,11 +174,72 @@ def to_chrome_trace(
             event["s"] = "t"  # instant scoped to its thread lane
         else:
             event["dur"] = (span.end_ms - start_ms) * 1000.0
-        events.append(event)
-    document = {"traceEvents": events, "displayTimeUnit": "ms"}
+        yield event
+
+
+def to_chrome_trace(
+    spans: Sequence[Span], metrics: dict | None = None
+) -> dict:
+    """Build a Trace-Event-Format document from finished spans.
+
+    ``metrics`` (a :meth:`MetricsRegistry.as_dict` snapshot) rides along
+    under ``otherData`` so one file carries the whole story.
+
+    The document is fully deterministic: all metadata ("M") events come
+    first — ``process_name`` per track in sorted-track order, then
+    ``thread_name`` per (track, lane) in (track, lane) order — followed
+    by the span events in (pid, tid, start, -duration) order, ties kept
+    in input order.  Identical runs therefore give identical documents,
+    and the analyzer can rely on metadata preceding the events it
+    describes.
+    """
+    document = {"traceEvents": list(_chrome_events(spans)), "displayTimeUnit": "ms"}
     if metrics is not None:
         document["otherData"] = {"metrics": metrics}
     return document
+
+
+def _chrome_text(spans: Sequence[Span], metrics: dict) -> Iterator[str]:
+    """``json.dumps(to_chrome_trace(spans, metrics), separators=(",",
+    ":"))`` in pieces: the events are encoded ``_WRITE_EVENTS`` at a
+    time, and a compact list's items are joined by bare commas, so the
+    pieces concatenate to exactly that text."""
+    yield '{"traceEvents":['
+    events = _chrome_events(spans)
+    separator = ""
+    while chunk := list(islice(events, _WRITE_EVENTS)):
+        yield separator
+        yield _ENCODE(chunk)[1:-1]
+        separator = ","
+    yield '],"displayTimeUnit":"ms","otherData":'
+    yield _ENCODE({"metrics": metrics})
+    yield "}"
+
+
+def _replace_atomically(path: Path, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` as UTF-8 text to a temporary sibling of
+    ``path`` (gzip-compressed when ``path`` ends in ``.gz``, as
+    :func:`open_text` would), then rename it over ``path``: a write that
+    raises leaves neither a partial file nor the temporary behind, and
+    an existing ``path`` untouched.
+
+    The temporary's name carries the process and thread, so concurrent
+    writers never share one, and it is created with the permissions a
+    plain ``open`` gives.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temporary, "wb") as raw:
+            binary = (
+                gzip.GzipFile(filename=path, mode="wb", fileobj=raw)
+                if path.suffix == ".gz"
+                else raw
+            )
+            with io.TextIOWrapper(binary, encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def write_chrome_trace(
@@ -191,21 +247,23 @@ def write_chrome_trace(
 ) -> Path:
     """Write one telemetry pipeline's spans + metrics as a Chrome trace.
 
-    The file is compact single-line JSON: ``json`` uses its C encoder
-    only without ``indent``, and the pure-Python one costs several
-    times more on a long traced run.  The document is built, encoded
-    and written with the cyclic GC paused (:class:`_collector_paused`):
-    it is plain dicts, lists, strs and floats, none of which refers
-    back to another, and it lives until the encode returns.
+    The file is compact single-line JSON, byte for byte
+    ``json.dumps(to_chrome_trace(...), separators=(",", ":"))``: ``json``
+    uses its C encoder only without ``indent``, and the pure-Python one
+    costs several times more on a long traced run.  It is encoded
+    ``_WRITE_EVENTS`` events at a time, so besides the spans only their
+    sort keys and one chunk are held, not the document or its text.
+    The file appears only once it is complete (a temporary sibling is
+    renamed over ``path``).  The write runs with the cyclic GC paused
+    (:class:`_collector_paused`): its bulk data are sort-key tuples and
+    plain dicts, lists, strs and floats, none of which refers back to
+    another.
     """
     path = Path(path)
     with _collector_paused():
-        text = json.dumps(
-            to_chrome_trace(telemetry.tracer.spans, telemetry.metrics.as_dict()),
-            separators=(",", ":"),
+        _replace_atomically(
+            path, _chrome_text(telemetry.tracer.spans, telemetry.metrics.as_dict())
         )
-        with open_text(path, "w") as handle:
-            handle.write(text)
     return path
 
 
@@ -227,19 +285,24 @@ def span_to_dict(span: Span) -> dict:
     }
 
 
+def _span_fields(data: dict) -> tuple:
+    """A :func:`span_to_dict` dict's :class:`Span` fields, in order."""
+    return (
+        data["name"],
+        data["track"],
+        data["lane"],
+        data["span_id"],
+        data["parent_id"],
+        data["start_ms"],
+        data["end_ms"],
+        data["kind"],
+        dict(data.get("attrs", {})),
+    )
+
+
 def span_from_dict(data: dict) -> Span:
     """Inverse of :func:`span_to_dict`."""
-    return Span(
-        name=data["name"],
-        track=data["track"],
-        lane=data["lane"],
-        span_id=data["span_id"],
-        parent_id=data["parent_id"],
-        start_ms=data["start_ms"],
-        end_ms=data["end_ms"],
-        kind=data["kind"],
-        attrs=dict(data.get("attrs", {})),
-    )
+    return Span(*_span_fields(data))
 
 
 def write_spans_jsonl(path: str | Path, spans: Iterable[Span]) -> Path:

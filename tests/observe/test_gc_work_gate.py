@@ -241,8 +241,9 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_raising_keeps_the_collector_state(
-        self, tmp_path, monkeypatch, enabled
+        self, tmp_path, monkeypatch, traced, enabled
     ):
+        telemetry, _ = traced
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -253,12 +254,23 @@ class TestCollectorState:
                 analyze_spans([])
             assert gc.isenabled() is enabled
 
-            def broken(*args, **kwargs):
-                raise ValueError("unencodable")
+            events = export_mod._chrome_events
 
-            monkeypatch.setattr(export_mod, "to_chrome_trace", broken)
+            def broken(spans):
+                # Fail after more than one chunk has been written.
+                for index, event in enumerate(events(spans)):
+                    if index == 3 * export_mod._WRITE_EVENTS:
+                        raise ValueError("unencodable")
+                    yield event
+
+            monkeypatch.setattr(export_mod, "_chrome_events", broken)
+            directory = tmp_path / "out"
+            directory.mkdir()
             with pytest.raises(ValueError, match="unencodable"):
-                write_chrome_trace(tmp_path / "never.json", Telemetry())
+                write_chrome_trace(directory / "never.json", telemetry)
             assert gc.isenabled() is enabled
+            # The write is atomic: no partial trace, no temporary left.
+            assert not (directory / "never.json").exists()
+            assert list(directory.iterdir()) == []
         finally:
             (gc.enable if was else gc.disable)()

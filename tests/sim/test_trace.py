@@ -91,6 +91,39 @@ class TestTraceRecorder:
             assert admits[record.rid].attrs["detail"] == f"d{record.final_degree}"
         assert max(r.start_ms for r in result.records) == 100.0
 
+    def test_sheds_are_not_recorded_as_queueing(self):
+        # The same two-row table with a backlog bound of one: request 1
+        # queues (e1), requests 2-4 find the backlog full and are shed.
+        table = IntervalTable(
+            [
+                Schedule([ScheduleStep(0.0, 1)]),
+                Schedule([ScheduleStep(0.0, 1)], wait_for_exit=True),
+            ]
+        )
+        recorder = TraceRecorder(FMScheduler(table, max_backlog=1))
+        result = simulate([_spec(0.0, 100.0)] * 5, recorder, cores=8, quantum_ms=5.0)
+        assert len(result.records) == 2 and len(result.shed_records) == 3
+        counts = _counts(recorder)
+        assert counts[TraceEventKind.QUEUE] == 1
+        assert counts[TraceEventKind.SHED] == 3
+        shed = [s for s in _decisions(recorder) if s.name == TraceEventKind.SHED.value]
+        assert sorted(s.lane for s in shed) == sorted(r.rid for r in result.shed_records)
+        assert {s.attrs["detail"] for s in shed} == {"backlog"}
+
+    def test_deadline_sheds_name_their_cause(self):
+        table = IntervalTable(
+            [
+                Schedule([ScheduleStep(0.0, 1)]),
+                Schedule([ScheduleStep(0.0, 1)], wait_for_exit=True),
+            ]
+        )
+        recorder = TraceRecorder(FMScheduler(table, deadline_ms=50.0))
+        result = simulate([_spec(0.0, 100.0)] * 3, recorder, cores=8, quantum_ms=5.0)
+        assert result.shed_records
+        shed = [s for s in _decisions(recorder) if s.name == TraceEventKind.SHED.value]
+        assert len(shed) == len(result.shed_records)
+        assert {s.attrs["detail"] for s in shed} == {"deadline"}
+
     def test_decisions_are_instants_with_load_and_detail(self):
         recorder = TraceRecorder(SequentialScheduler())
         simulate([_spec(0.0, 50.0)] * 4, recorder, cores=8)
