@@ -754,9 +754,12 @@ def build_engine_report(scale: Scale) -> dict:
         **bench_engine(scale),
         "notes": (
             "single_process is a saturated FM/Bing run; events_per_s "
-            "counts events drained from the queue (incl. stale "
-            "tentative completions). reference is the frozen pre-"
-            "optimization engine (repro.sim._baseline) run on the "
+            "counts the events the engine scheduled (events_processed: "
+            "arrivals, ticks, delay expiries, faults and every "
+            "tentative completion, superseded or not, which is the "
+            "count the reference drains from its queue). reference is "
+            "the frozen pre-optimization engine (repro.sim._baseline) "
+            "run on the "
             "same trace — results are asserted bit-identical before "
             "any speedup is reported. sweep compares run_sweep at 1 "
             "worker (in-process) vs 4 on the same grid; parallel_speedup "

@@ -32,7 +32,7 @@ from repro.experiments.runner import run_policy, run_sweep
 from repro.experiments.tables import lucene_table
 from repro.schedulers import FMScheduler
 from repro.schedulers.fm import FMScheduler as _FM
-from repro.sim.api import SchedulerContext
+from repro.sim.api import ANY_TICK, SchedulerContext
 from repro.sim.request import SimRequest
 from repro.workloads import lucene as lucene_mod
 
@@ -215,10 +215,10 @@ class _StaleLoadFM(_FM):
             ctx.try_boost(request, desired)
         return desired
 
-    def quiescent(self, request: SimRequest) -> bool:
-        """Never: every tick may refresh the cached load that later
-        decisions read."""
-        return False
+    def tick_horizon(self, ctx: SchedulerContext, request: SimRequest) -> float:
+        """Any tick may act: every tick may refresh the cached load that
+        later decisions read."""
+        return ANY_TICK
 
 
 def ablation_load_metric(scale: Scale | None = None) -> FigureResult:

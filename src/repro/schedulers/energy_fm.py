@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.core.table import IntervalTable
 from repro.errors import ConfigurationError
 from repro.schedulers.fm import FMScheduler
-from repro.sim.api import Admission, AdmissionAction, SchedulerContext
+from repro.sim.api import ANY_TICK, Admission, AdmissionAction, SchedulerContext
 from repro.sim.request import SimRequest
 
 __all__ = ["EnergyAwareFMScheduler"]
@@ -122,6 +122,7 @@ class EnergyAwareFMScheduler(FMScheduler):
             ctx.migrate(request, fastest)
         return desired
 
-    def quiescent(self, request: SimRequest) -> bool:
-        """Never: a tick at the top degree may still migrate the request."""
-        return False
+    def tick_horizon(self, ctx: SchedulerContext, request: SimRequest) -> float:
+        """Any tick may act: below the next raise it may still migrate
+        the request."""
+        return ANY_TICK

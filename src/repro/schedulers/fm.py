@@ -20,9 +20,12 @@ The online half of the paper's contribution.  Each request:
 
 from __future__ import annotations
 
+import math
+import sys
+
 from repro.core.table import IntervalTable
 from repro.errors import ConfigurationError
-from repro.sim.api import Admission, Scheduler, SchedulerContext
+from repro.sim.api import ANY_TICK, Admission, Scheduler, SchedulerContext
 from repro.sim.request import SimRequest
 
 __all__ = ["FMScheduler"]
@@ -140,8 +143,20 @@ class FMScheduler(Scheduler):
             ctx.try_boost(request, desired)
         return desired
 
-    def quiescent(self, request: SimRequest) -> bool:
-        """At the table's top degree :meth:`on_quantum` returns the
-        request's degree, and it boosts only on a raise.  Subclasses
-        that swap tables or act on ticks return False."""
-        return request.degree >= self._top_degree
+    def tick_horizon(self, ctx: SchedulerContext, request: SimRequest) -> float:
+        """The progress of the current row's first step above the
+        request's degree: below it :meth:`on_quantum` returns the degree
+        and, as FM boosts only on a raise, asks no boost.  A row with no
+        step above the degree gives the largest finite float, which no
+        progress reaches (a lighter row may still raise, so this holds
+        only at this load); at the table's top degree no row raises
+        (``inf``).  Wall-clock progress is not the engine's effective
+        progress, so ``progress="wall"`` skips no tick below the top.
+        Subclasses that swap tables or act on ticks return ``-inf``."""
+        degree = request.degree
+        if degree >= self._top_degree:
+            return math.inf
+        if self.progress != "effective":
+            return ANY_TICK
+        horizon = self.table.lookup(ctx.system_count).raise_progress(degree)
+        return horizon if horizon < math.inf else sys.float_info.max

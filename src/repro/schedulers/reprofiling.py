@@ -36,7 +36,7 @@ from repro.core.speedup import SpeedupModel
 from repro.core.table import IntervalTable
 from repro.errors import ConfigurationError
 from repro.schedulers.fm import FMScheduler
-from repro.sim.api import SchedulerContext
+from repro.sim.api import ANY_TICK, SchedulerContext
 from repro.sim.request import SimRequest
 from repro.telemetry import resolve_telemetry
 
@@ -129,9 +129,9 @@ class ReprofilingFMScheduler(FMScheduler):
         if self.slo_monitor is not None:
             self.slo_monitor.reset()
 
-    def quiescent(self, request: SimRequest) -> bool:
-        """Never: a rebuilt table's top degree may be higher."""
-        return False
+    def tick_horizon(self, ctx: SchedulerContext, request: SimRequest) -> float:
+        """Any tick may act: a rebuilt table moves every step."""
+        return ANY_TICK
 
     def on_exit(self, ctx: SchedulerContext, request: SimRequest) -> None:
         self._samples.append(request.seq_ms)

@@ -13,8 +13,8 @@ The interface mirrors the hooks the paper's runtime exposes:
 * ``on_quantum`` — the self-scheduling hook (Section 4.2): every
   scheduling quantum a running request re-reads the instantaneous load
   and may raise its parallelism.  Degrees never decrease (Theorem 1).
-  ``quiescent`` lets a policy say a request's ticks can no longer do
-  anything, so the engine skips the hook for them.
+  ``tick_horizon`` lets a policy say how far a request must progress
+  before a tick can act, so the engine skips the hook until then.
 * ``on_start`` — notification that a request began executing, for
   every start: the policy's own admissions and the ones the engine
   forces (one ``e1`` request per exit at saturation, and a
@@ -29,6 +29,7 @@ quantum events entirely.
 from __future__ import annotations
 
 import enum
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -36,7 +37,11 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.request import SimRequest
 
-__all__ = ["AdmissionAction", "Admission", "SchedulerContext", "Scheduler"]
+__all__ = ["ANY_TICK", "AdmissionAction", "Admission", "SchedulerContext", "Scheduler"]
+
+#: The tick horizon of a policy whose every tick may act
+#: (:meth:`Scheduler.tick_horizon`'s default): ``-inf``, one shared float.
+ANY_TICK = -math.inf
 
 
 class AdmissionAction(enum.Enum):
@@ -240,17 +245,26 @@ class Scheduler(ABC):
         """
         return request.degree
 
-    def quiescent(self, request: "SimRequest") -> bool:
-        """Whether :meth:`on_quantum` can no longer change anything for
-        this running request: it would return ``request.degree`` and
-        touch no boost, placement or policy state.
+    def tick_horizon(self, ctx: SchedulerContext, request: "SimRequest") -> float:
+        """The least effective progress (``request.effective_ms``) at
+        which :meth:`on_quantum` may act on this running request.
 
-        The engine then skips the hook (the tick still fires and is
-        re-armed, so event order and timing are unchanged).  The answer
-        must hold at every later tick too.  Default False; a subclass
-        that changes what a tick does must not inherit a True answer.
+        Below it the hook would return ``request.degree`` and touch no
+        boost, placement or policy state, so the engine skips the hook
+        and the request's sync for a tick whose progress, read as the
+        hook would read it, is below the horizon; the tick still fires
+        and is re-armed, so event order and timing are unchanged.  The
+        answer must hold for every later tick while the request's
+        degree and ``ctx.system_count`` are unchanged (the engine asks
+        again when either moves), and must be exact: at the horizon
+        itself the hook may act.  ``inf`` means no later tick can act,
+        whatever the load, and the engine stops asking.  The default,
+        ``-inf``, means any tick may act; the engine never asks a
+        policy that keeps it, so such a policy pays nothing per tick.
+        A subclass that changes what a tick does must not inherit a
+        finite or infinite answer.
         """
-        return False
+        return ANY_TICK
 
     def on_start(self, ctx: SchedulerContext, request: "SimRequest") -> None:
         """Notification that a request began executing, at

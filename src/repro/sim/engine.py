@@ -3,14 +3,24 @@
 A fluid discrete-event simulation: between state-change events every
 request's work-depletion rate is constant, so the engine only touches
 state when something happens — an arrival, an admission-delay expiry, a
-self-scheduling quantum, or a completion.  Completions are *tentative*
-events computed from current rates and carry a generation number; any
-rate change (degree raise, boost, arrival, exit) bumps the generation,
-invalidating stale completions still in the heap.
+self-scheduling quantum, or a completion.  The next completion is
+*tentative*, computed from the current rates, and only one is ever live:
+every rate refresh (degree raise, boost, arrival, exit) overwrites one
+slot with its time, the queue sequence number it drew and the request it
+was scheduled for, so a superseded completion is never allocated, heaped
+or drained.  At that time the engine finishes every running request with
+no work left and the slot's request, whose residue can exceed the
+absolute finish bound once the clock is large.  Arrivals come from a
+cursor over the sorted specs (or the stream, one spec ahead) that wins
+every time tie, the order of the reference engine
+(:mod:`repro.sim._baseline`), which heaps every arrival before any other
+event; so the heap holds only quantum ticks, delay expiries and faults
+(DESIGN.md §10).
 
 Determinism: given identical arrival specs and scheduler state the run
-is bit-for-bit reproducible — the event queue breaks time ties by
-insertion order and no wall-clock or randomness enters the engine.
+is bit-for-bit reproducible — time ties break by arrival first, then by
+queue sequence number (insertion order), and no wall-clock or
+randomness enters the engine.
 
 Hot-path structure (DESIGN.md §10): the engine is the inner loop of
 every load sweep, so the per-event work is kept incremental.  Per-degree
@@ -33,12 +43,15 @@ log is replayed request by request, with the commit loop's operations
 in its order, before the next commit that is not a tick, before a
 recompute the tick caused, and at the end of the run.  A tick's hook
 first brings only its own request up to date (the ``on_quantum`` read
-contract in :mod:`repro.sim.api`).  A tick whose scheduler calls the
-request :meth:`~repro.sim.api.Scheduler.quiescent` skips the sync and
-the hook and is simply re-armed.  Every tick stays in the heap, so the
-commit times, the event order and every simulated bit are unchanged.
-The batch kernels, topology runs and fault-plan runs commit ticks
-eagerly.
+contract in :mod:`repro.sim.api`).  A tick whose request has not yet
+progressed to its scheduler's
+:meth:`~repro.sim.api.Scheduler.tick_horizon` (cached on the request
+while its degree and the load hold) skips the sync and the hook and is
+simply re-armed; the progress is read as the hook would read it, so the
+loops and the batch kernels skip the same hooks.  Every tick stays in
+the heap, so the commit times, the event order and every simulated bit
+are unchanged.  The batch kernels, topology runs and fault-plan runs
+commit ticks eagerly.
 
 Core pools (DESIGN.md §12): a run without a
 :class:`~repro.hetero.pools.Topology` is one pool of every core at speed
@@ -95,7 +108,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from heapq import heappop
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -128,6 +141,9 @@ _STALL_END = "stall_end"
 
 _FINISH_EPS = 1e-6  # ms — one nanosecond of slack for float residue
 _INF = float("inf")
+#: The completion slot when no completion is scheduled: it compares
+#: above every heap entry (``(time, sequence, event)``).
+_NO_COMPLETION = (_INF, -1)
 
 #: Running-set sizes at which :class:`Engine` enters and leaves the
 #: batch kernels (see the module docstring for the measured crossover).
@@ -269,8 +285,12 @@ class Engine:
         self._waiting_fifo: deque[int] = deque()  # e1-queued request ids, FIFO
         self._delayed: list[int] = []  # mid-delay request ids, sorted (= arrival order)
         self._candidate = 0  # requests mid-admission (counted in the load)
-        self._generation = 0
         self._rates_dirty = False
+        #: The one live tentative completion, as ``(time, sequence)``
+        #: (:data:`_NO_COMPLETION` when none), and the request it was
+        #: scheduled for; every rate refresh replaces both.
+        self._completion = _NO_COMPLETION
+        self._completion_target: SimRequest | None = None
         #: The pending-tick log (DESIGN.md §10): on the per-request loops
         #: a quantum tick appends its interval here (:meth:`_defer`)
         #: instead of committing it, and :meth:`_replay_ticks` commits
@@ -282,16 +302,13 @@ class Engine:
         #: True while the batch kernels run over the slot table (whose
         #: columns :meth:`_enter_batch` allocates).
         self._batch = False
-        #: Streaming-mode state (DESIGN.md §14): when :meth:`run` is
-        #: handed an iterator instead of a sequence, arrivals are
-        #: generated lazily (one in flight ahead of the clock) and
-        #: finished requests are dropped from the table, so memory is
-        #: O(running set) instead of O(total requests).
-        self._stream: Iterator[ArrivalSpec] | None = None
+        #: Streaming mode (DESIGN.md §14): when :meth:`run` is handed an
+        #: iterator instead of a sequence, arrivals are generated lazily
+        #: (one ahead of the clock) and finished requests are dropped
+        #: from the table, so memory is O(running set) instead of
+        #: O(total requests).
         self._discard_done = False
         self._submitted = 0
-        self._next_rid = 0
-        self._last_stream_ms = 0.0
         #: ``collector`` swaps the record-keeping strategy: the default
         #: :class:`MetricsCollector` keeps every RequestRecord (full
         #: SimulationResult); a streaming collector (repro.sim.stream)
@@ -301,9 +318,18 @@ class Engine:
         self._completed = 0
         self._shed = 0
         self._ran = False
-        #: Events drained from the queue by :meth:`run` (including stale
-        #: tentative completions) — the numerator of events/sec benches.
+        #: Events the run scheduled: arrivals, quantum ticks, delay
+        #: expiries, faults and tentative completions, each completion
+        #: counted when scheduled, whether handled or superseded by the
+        #: next rate refresh — the numerator of events/sec benches.
         self.events_processed = 0
+        #: The run's work by kind, flushed once at its end: ``arrivals``,
+        #: ``completions`` (handled), ``superseded_completions``,
+        #: ``ticks``, ``tick_hooks`` (ticks that reached ``on_quantum``),
+        #: ``horizon_evaluations`` (``tick_horizon`` calls),
+        #: ``delay_expiries`` and ``faults``.  ``events_processed`` is the
+        #: sum of every kind but the hooks and the evaluations.
+        self.work: dict[str, int] = {}
         self.telemetry = resolve_telemetry(telemetry)
         self.attribution = attribution
         #: Optional live observability plane (repro.observe.live): each
@@ -398,9 +424,8 @@ class Engine:
         are consumed lazily in non-decreasing time order, one arrival
         event in flight ahead of the clock, and completed or shed
         requests are discarded — memory stays O(running set) for
-        million-request runs.  Streamed arrivals enter the event heap
-        through a dedicated sequence band that preserves the batch
-        path's tie-breaking, so the same trace replays bit-identically
+        million-request runs.  Both paths feed one arrival cursor that
+        wins every time tie, so the same trace replays bit-identically
         through either path.
 
         A finished run frees itself, also when it raises: the engine
@@ -430,18 +455,22 @@ class Engine:
         if isinstance(arrivals, Sequence):
             if not arrivals:
                 raise SimulationError("no arrivals to simulate")
-            for rid, spec in enumerate(sorted(arrivals, key=lambda s: s.time_ms)):
-                request = SimRequest(
-                    rid, spec.time_ms, spec.seq_ms, spec.speedup, tag=spec.tag
-                )
-                self._requests[rid] = request
-                self._queue.push(spec.time_ms, Event(EventKind.ARRIVAL, request_id=rid))
-            self._submitted = len(self._requests)
+            ordered = sorted(arrivals, key=lambda s: s.time_ms)
+            if ordered[0].time_ms < 0:
+                raise ValueError(f"event time must be >= 0, got {ordered[0].time_ms}")
+            pending = [
+                SimRequest(rid, spec.time_ms, spec.seq_ms, spec.speedup, tag=spec.tag)
+                for rid, spec in enumerate(ordered)
+            ]
+            self._requests.update(enumerate(pending))
+            self._submitted = len(pending)
+            source: Iterator[SimRequest] = iter(pending)
         else:
-            self._stream = iter(arrivals)
             self._discard_done = True
-            if not self._push_next_arrival():
-                raise SimulationError("no arrivals to simulate")
+            source = self._streamed_requests(iter(arrivals))
+        arrival = next(source, None)
+        if arrival is None:
+            raise SimulationError("no arrivals to simulate")
         if self.fault_plan is not None:
             for core_fault in self.fault_plan.core_faults:
                 self._queue.push(
@@ -453,74 +482,152 @@ class Engine:
                     stall.time_ms, Event(EventKind.FAULT, payload=(_STALL, stall))
                 )
 
-        # The run loop: hot enough that the queue pop and the kind
+        # The run loop: hot enough that the event choice and the kind
         # dispatch are inlined here, with enum members and the heap
         # hoisted to locals (a few % per lookup at this call count).
-        # Branches are ordered by event frequency: quantum ticks
-        # dominate, then completions, then arrivals.
+        # Three sources feed it: the arrival cursor, which wins every
+        # time tie (the reference engine heaps every arrival before any
+        # other event); the completion slot; and the heap of ticks,
+        # delay expiries and faults, the slot and the heap ordered by
+        # ``(time, sequence)``.  Among heaped events ticks dominate, so
+        # they are tested first.  Work is counted in locals and flushed
+        # once at the end.
         heap = self._queue.heap
-        push = self._queue.push
+        sequence = self._queue.sequence
         requests = self._requests
-        streaming = self._stream is not None
-        quiescent = self.scheduler.quiescent
+        running = self._running
+        delayed = self._delayed
+        ctx = self._ctx
+        tick_horizon = self.scheduler.tick_horizon
+        if getattr(tick_horizon, "__func__", None) is Scheduler.tick_horizon:
+            tick_horizon = None  # the default: every tick may act, never ask
         quantum_ms = self.quantum_ms
         running_state = RequestState.RUNNING
         quantum_kind = EventKind.QUANTUM
-        completion_kind = EventKind.COMPLETION
-        arrival_kind = EventKind.ARRIVAL
         delay_kind = EventKind.DELAY_EXPIRED
         finish_eps = _FINISH_EPS
-        events = 0
-        while heap:
-            time_ms, _, event = heappop(heap)
-            events += 1
-            kind = event.kind
-            if kind is completion_kind and event.generation != self._generation:
-                continue  # stale rate snapshot
+        inf = _INF
+        neg_inf = -_INF
+        no_completion = _NO_COMPLETION
+        completion = no_completion
+        arrival_ms = arrival.arrival_ms
+        arrivals_n = completions = superseded = ticks = hooks = 0
+        horizons = delays = faults = 0
+        while True:
+            if heap:
+                entry = heap[0]
+                if completion < entry:
+                    time_ms = completion[0]
+                    entry = None
+                else:
+                    time_ms = entry[0]
+            else:
+                entry = None
+                time_ms = completion[0]
+            if arrival_ms <= time_ms:
+                if arrival is None:
+                    break  # no arrival, completion or heaped event left
+                now = self.now_ms
+                self._commit(arrival_ms if arrival_ms > now else now)
+                arrivals_n += 1
+                request = arrival
+                # Streaming mode pulls the next spec as its predecessor
+                # is delivered, one arrival ahead of the clock.
+                arrival = next(source, None)
+                arrival_ms = inf if arrival is None else arrival.arrival_ms
+                self._handle_arrival(request)
+                if self._rates_dirty:
+                    if completion is not no_completion:
+                        superseded += 1
+                    self._recompute_rates()
+                    completion = self._completion
+                continue
             now = self.now_ms
             if time_ms < now - finish_eps:
                 raise SimulationError(
                     f"time went backwards: {time_ms} < {now}"
                 )
+            if entry is None:
+                # The live tentative completion.
+                completions += 1
+                completion = no_completion
+                self._commit(time_ms if time_ms > now else now)
+                self._handle_completion()
+                self._recompute_rates()  # an exit always dirties the rates
+                completion = self._completion
+                continue
+            heappop(heap)
+            event = entry[2]
+            kind = event.kind
             if kind is quantum_kind:
                 # The tick's interval goes to the pending log (or is
                 # committed, where ticks stay eager).
+                ticks += 1
                 self._defer(time_ms if time_ms > now else now)
                 try:
                     request = requests[event.request_id]
                 except KeyError:
                     continue  # finished + discarded (streaming mode)
-                if request.state is running_state and quiescent(request):
-                    # The hook could change nothing: skip it and the
-                    # request's sync, and keep the tick armed.
-                    push(self.now_ms + quantum_ms, event)
-                    continue
+                if request.state is not running_state:
+                    continue  # finished: the tick is not re-armed
+                if tick_horizon is not None:
+                    horizon = request.horizon
+                    if horizon < inf:  # inf holds at every later tick
+                        load = len(running) + len(delayed)
+                        if (
+                            request.horizon_load != load
+                            or request.horizon_degree != request.degree
+                        ):
+                            horizons += 1
+                            horizon = request.horizon = tick_horizon(ctx, request)
+                            request.horizon_load = load
+                            request.horizon_degree = request.degree
+                    if horizon > neg_inf and (
+                        horizon == inf or self._tick_progress(request) < horizon
+                    ):
+                        # The hook could change nothing: skip it and the
+                        # request's sync, and re-arm (a push, inlined).
+                        heappush(heap, (self.now_ms + quantum_ms, next(sequence), event))
+                        continue
+                hooks += 1
                 self._handle_quantum(request, event)
                 if self._rates_dirty:
                     self._commit(self.now_ms)  # the log, at the old rates
+                    if completion is not no_completion:
+                        superseded += 1
                     self._recompute_rates()
+                    completion = self._completion
                 continue
             self._commit(time_ms if time_ms > now else now)
-            if kind is completion_kind:
-                self._handle_completion()
-            elif kind is arrival_kind:
-                if streaming:
-                    # Keep exactly one future arrival in the heap: pull
-                    # the next spec as its predecessor is delivered.
-                    self._push_next_arrival()
-                self._handle_arrival(requests[event.request_id])
-            elif kind is delay_kind:
+            if kind is delay_kind:
+                delays += 1
                 try:
                     request = requests[event.request_id]
                 except KeyError:
                     continue  # shed + discarded (streaming mode)
                 self._handle_delay_expired(request)
-            else:  # EventKind.FAULT — the enum is closed
+            else:  # EventKind.FAULT — arrivals and completions never heap
+                faults += 1
                 self._handle_fault(event.payload)
             if self._rates_dirty:
+                if completion is not no_completion:
+                    superseded += 1
                 self._recompute_rates()
+                completion = self._completion
         self._commit(self.now_ms)  # ticks that popped after the last other event
-        self.events_processed = events
+        self.work = {
+            "arrivals": arrivals_n,
+            "completions": completions,
+            "superseded_completions": superseded,
+            "ticks": ticks,
+            "tick_hooks": hooks,
+            "horizon_evaluations": horizons,
+            "delay_expiries": delays,
+            "faults": faults,
+        }
+        self.events_processed = (
+            arrivals_n + completions + superseded + ticks + delays + faults
+        )
         if self._live is not None:
             self._live.flush(self.now_ms)
 
@@ -533,29 +640,43 @@ class Engine:
             self._metrics.energy_report = self._build_energy_report()
         return self._metrics.finalize()
 
-    def _push_next_arrival(self) -> bool:
-        """Pull the next spec off the arrival stream and schedule it;
-        returns False when the stream is exhausted (streaming mode)."""
-        spec = next(self._stream, None)
-        if spec is None:
-            return False
-        time_ms = spec.time_ms
-        if time_ms < self._last_stream_ms:
-            raise SimulationError(
-                "streamed arrivals must be non-decreasing in time: "
-                f"{time_ms} after {self._last_stream_ms}"
-            )
-        self._last_stream_ms = time_ms
-        rid = self._next_rid
-        self._next_rid = rid + 1
-        self._requests[rid] = SimRequest(
-            rid, time_ms, spec.seq_ms, spec.speedup, tag=spec.tag
-        )
-        self._queue.push_streamed_arrival(
-            time_ms, Event(EventKind.ARRIVAL, request_id=rid)
-        )
-        self._submitted += 1
-        return True
+    def _streamed_requests(
+        self, specs: Iterator[ArrivalSpec]
+    ) -> Iterator[SimRequest]:
+        """Streaming mode's arrival source: each spec becomes a request
+        in the table, and counts as submitted, only when the cursor
+        pulls it."""
+        requests = self._requests
+        last_ms = 0.0
+        for rid, spec in enumerate(specs):
+            time_ms = spec.time_ms
+            if time_ms < last_ms:
+                raise SimulationError(
+                    "streamed arrivals must be non-decreasing in time: "
+                    f"{time_ms} after {last_ms}"
+                )
+            last_ms = time_ms
+            request = SimRequest(rid, time_ms, spec.seq_ms, spec.speedup, tag=spec.tag)
+            requests[rid] = request
+            self._submitted += 1
+            yield request
+
+    def _tick_progress(self, request: SimRequest) -> float:
+        """The effective progress ``on_quantum`` would read at this
+        tick, without syncing the request: its slot-table lane, or its
+        ``effective_ms`` plus its pending-tick intervals, added in the
+        replay's order with the replay's arithmetic (eager-tick runs
+        keep no log)."""
+        if self._batch:
+            return self._tab[_EFF, self._slot_of[request.rid]]
+        progress = request.effective_ms
+        dts = self._dts
+        mark = request.tick_mark
+        if mark < len(dts):
+            factor = request.share_factor
+            for dt in dts[mark:] if mark else dts:
+                progress += factor * dt
+        return progress
 
     # ------------------------------------------------------------------
     # Event handlers (dispatched inline by the run loop)
@@ -628,12 +749,18 @@ class Engine:
         self._queue.push(self.now_ms + self.quantum_ms, event)
 
     def _handle_completion(self) -> None:
+        """Finish the requests the live tentative completion retires:
+        every running request with no work left, and the one it was
+        scheduled for, whose residue can exceed the absolute finish
+        bound once the clock's float spacing times its rate does (past
+        a few million ms of virtual time)."""
+        target = self._completion_target
         if self._batch:
-            finished = self._take_finished_slots()
+            finished = self._take_finished_slots(target)
         else:
-            finished = [r for r in self._running.values() if r.is_finished]
-        if not finished:
-            raise SimulationError("completion event with no finished request")
+            finished = [
+                r for r in self._running.values() if r is target or r.is_finished
+            ]
         for request in finished:
             request.finish(self.now_ms)
             del self._running[request.rid]
@@ -1225,7 +1352,6 @@ class Engine:
            track the earliest tentative completion in the same sweep.
         """
         self._rates_dirty = False
-        self._generation += 1
         running = self._running.values()
         if self._npools == 1:
             pools: Sequence[Iterable[SimRequest]] = (running,)
@@ -1239,6 +1365,7 @@ class Engine:
         online = self._pool_online
         speeds = self._pool_speeds
         earliest = _INF
+        target = None
         for pool, members in enumerate(pools):
             boosted_demand = 0.0
             unboosted_demand = 0.0
@@ -1266,11 +1393,12 @@ class Engine:
                     eta = now + request.remaining_work / rate
                     if eta < earliest:
                         earliest = eta
-        if earliest < _INF:
-            self._queue.push(
-                max(earliest, now),
-                Event(EventKind.COMPLETION, generation=self._generation),
-            )
+                        target = request
+        if target is None:
+            self._completion = _NO_COMPLETION
+        else:
+            self._completion = (max(earliest, now), next(self._queue.sequence))
+            self._completion_target = target
 
     # ------------------------------------------------------------------
     # Batch kernels over the slot table (DESIGN.md §14).  While
@@ -1394,12 +1522,13 @@ class Engine:
         for slot in np.flatnonzero(self._flags[_ACT, : self._n_slots]):
             self._store_slot(slot, self._slot_req[slot])
 
-    def _take_finished_slots(self) -> list[SimRequest]:
-        """The finished requests in running-set order, each stored back
-        onto its object and its slot freed."""
+    def _take_finished_slots(self, target: SimRequest) -> list[SimRequest]:
+        """The finished requests and ``target`` in running-set order,
+        each stored back onto its object and its slot freed."""
         n = self._n_slots
         finished = []
         done = self._flags[_ACT, :n] & (self._tab[_REM, :n] <= 1e-9)
+        done[self._slot_of[target.rid]] = True
         for slot in np.flatnonzero(done):
             request = self._slot_req[slot]
             self._store_slot(slot, request)
@@ -1475,9 +1604,9 @@ class Engine:
         """:meth:`_recompute_rates` as row arithmetic over the slot
         table."""
         self._rates_dirty = False
-        self._generation += 1
         if self._n_active == 0:
-            return  # as the loop: zero sums, no completion event
+            self._completion = _NO_COMPLETION  # as the loop: zero sums
+            return
         n = self._n_slots
         tab = self._tab
         boosted = self._flags[_BOOSTED, :n]
@@ -1506,14 +1635,18 @@ class Engine:
         if self.fault_plan is not None:
             rate[self._flags[_ACT, :n] & (now < tab[_STALL_UNTIL, :n] - 1e-9)] = 0.0
 
-        # min(now + x) == now + min(x): rounded addition is monotone.
-        positive = rate > 0.0
-        if positive.any():
-            soonest = float((tab[_REM, :n][positive] / rate[positive]).min())
-            self._queue.push(
-                max(now + soonest, now),
-                Event(EventKind.COMPLETION, generation=self._generation),
+        # The loop's etas, elementwise; argmin takes the first least
+        # one, the request the loop's strict ``<`` keeps.
+        lanes = np.flatnonzero(rate > 0.0)
+        if len(lanes):
+            etas = now + tab[_REM, lanes] / rate[lanes]
+            soonest = int(etas.argmin())
+            self._completion = (
+                max(float(etas[soonest]), now), next(self._queue.sequence)
             )
+            self._completion_target = self._slot_req[lanes[soonest]]
+        else:
+            self._completion = _NO_COMPLETION
 
     # ------------------------------------------------------------------
     # Core pools (repro.hetero, DESIGN.md §12)

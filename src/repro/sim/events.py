@@ -1,21 +1,25 @@
 """Typed events and the time-ordered event queue.
 
 The engine is a discrete-event simulator: every state change is an
-event drawn from a single min-heap ordered by ``(time, sequence)``.
-The sequence number makes ordering of simultaneous events deterministic
-(FIFO in insertion order), which keeps whole simulations reproducible.
+event ordered by ``(time, sequence)``.  The sequence number makes
+ordering of simultaneous events deterministic (FIFO in insertion
+order), which keeps whole simulations reproducible.  The engine's heap
+holds quantum ticks, admission-delay expiries and faults; arrivals come
+from a cursor and the one live tentative completion from a slot
+(:mod:`repro.sim.engine`), which draws its sequence number from the
+same counter (:attr:`EventQueue.sequence`).
 
 Hot-path notes: heap entries are plain ``(time_ms, sequence, event)``
 tuples — tuple comparison is C-level and the unique sequence number
 guarantees the :class:`Event` payload itself is never compared — and
-:class:`Event` is a ``__slots__`` class rather than a dataclass, since
-the engine allocates one per quantum tick and completion.
+:class:`Event` is a ``__slots__`` class rather than a dataclass.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -23,12 +27,15 @@ __all__ = ["EventKind", "Event", "EventQueue"]
 class EventKind(enum.Enum):
     """All event types the engine understands."""
 
+    #: An arrival (the engine feeds arrivals from a cursor; the frozen
+    #: reference engine, :mod:`repro.sim._baseline`, heaps them).
     ARRIVAL = "arrival"
     #: Expiry of an FM admission delay (``t0 > 0``).
     DELAY_EXPIRED = "delay_expired"
     #: Self-scheduling tick for one running request (Section 4.2).
     QUANTUM = "quantum"
-    #: Tentative completion; ``generation`` stale-checks it.
+    #: Tentative completion; ``generation`` stale-checks it (in the
+    #: reference engine's heap; the engine keeps its live one in a slot).
     COMPLETION = "completion"
     #: An injected fault firing (core loss/restore, worker stall) —
     #: see :mod:`repro.faults`.
@@ -69,41 +76,24 @@ class EventQueue:
     """Deterministic min-heap of :class:`Event` keyed by time.
 
     The backing heap (:attr:`heap`) holds raw ``(time_ms, sequence,
-    event)`` tuples; the engine's run loop reads it directly to skip a
-    method call per event.
+    event)`` tuples and :attr:`sequence` draws the sequence numbers; the
+    engine's run loop reads the heap and re-arms ticks through both
+    directly, to skip a method call per event, and draws its completion
+    slot's number from the same counter, so the slot orders against the
+    heap exactly as a pushed event would.
     """
 
-    __slots__ = ("heap", "_next_seq", "_arrival_seq")
+    __slots__ = ("heap", "sequence")
 
     def __init__(self) -> None:
         self.heap: list[tuple[float, int, Event]] = []
-        self._next_seq = 0
-        self._arrival_seq = -(2**62)
+        self.sequence = itertools.count()
 
     def push(self, time_ms: float, event: Event) -> None:
         """Schedule ``event`` at ``time_ms``."""
         if time_ms < 0:
             raise ValueError(f"event time must be >= 0, got {time_ms}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self.heap, (time_ms, seq, event))
-
-    def push_streamed_arrival(self, time_ms: float, event: Event) -> None:
-        """Schedule a lazily generated ARRIVAL event.
-
-        In batch mode every arrival is pushed at setup time, so at any
-        time tie an arrival's sequence number is smaller than every
-        runtime-generated event's.  Streamed arrivals are pushed mid-run
-        — to preserve the exact same tie-break (and with it bit-identical
-        traces), they draw from a dedicated negative sequence band that
-        stays below every :meth:`push` sequence while remaining FIFO
-        among arrivals (which the stream feeds in time order anyway).
-        """
-        if time_ms < 0:
-            raise ValueError(f"event time must be >= 0, got {time_ms}")
-        seq = self._arrival_seq
-        self._arrival_seq = seq + 1
-        heapq.heappush(self.heap, (time_ms, seq, event))
+        heapq.heappush(self.heap, (time_ms, next(self.sequence), event))
 
     def pop(self) -> tuple[float, Event]:
         """Remove and return the earliest ``(time, event)``."""

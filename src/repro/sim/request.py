@@ -27,6 +27,9 @@ from repro.errors import SimulationError
 __all__ = ["RequestState", "SimRequest"]
 
 _EPS = 1e-9
+#: ``SimRequest.horizon`` before the engine first asks (one shared
+#: float, not one per request).
+_UNASKED = float("-inf")
 
 
 class RequestState(enum.Enum):
@@ -75,6 +78,9 @@ class SimRequest:
         "energy_mj",
         "migrations",
         "tick_mark",
+        "horizon",
+        "horizon_degree",
+        "horizon_load",
     )
 
     def __init__(
@@ -152,6 +158,12 @@ class SimRequest:
         #: how many of the engine's logged tick intervals this request
         #: has already been advanced over.
         self.tick_mark = 0
+        #: The scheduler's :meth:`~repro.sim.api.Scheduler.tick_horizon`
+        #: as the engine last asked it, and the degree and load it was
+        #: asked at (the answer holds while both are unchanged).
+        self.horizon = _UNASKED
+        self.horizon_degree = 0
+        self.horizon_load = -1
 
     # ------------------------------------------------------------------
     def start(self, now_ms: float, degree: int) -> None:

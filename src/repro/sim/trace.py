@@ -132,9 +132,9 @@ class TraceRecorder(Scheduler):
             self._emit(ctx, TraceEventKind.BOOST, request.rid)
         return desired
 
-    def quiescent(self, request: SimRequest) -> bool:
+    def tick_horizon(self, ctx: SchedulerContext, request: SimRequest) -> float:
         # A skipped tick changes nothing, so it would record nothing.
-        return self.inner.quiescent(request)
+        return self.inner.tick_horizon(ctx, request)
 
     def on_start(self, ctx: SchedulerContext, request: SimRequest) -> None:
         self._emit(ctx, TraceEventKind.ADMIT, request.rid, f"d{request.degree}")

@@ -5,9 +5,9 @@ interval-table search, the seed-42 grid's arrivals for that load) is
 rebuilt from ``src/`` alone.  Its completion records must hash to the
 repository benchmark's seed-42 pin for ``FM@43`` and its p99 must equal
 the pinned value, so any change to a simulated bit fails here on any
-host.  The engine's work is pinned too: the events it drains and the
-``on_quantum`` calls left after quiescent ticks are skipped
-(DESIGN.md §10) are deterministic counts.
+host.  The engine's work is pinned too: its events, its work by kind
+and the ``on_quantum`` calls left after ticks below the tick horizon
+are skipped (DESIGN.md §10) are deterministic counts.
 """
 
 from __future__ import annotations
@@ -33,9 +33,21 @@ _REQUESTS = 1000
 _DIGEST = "b291848995d66f2b78d9bcc6144a6b876ffe415f53dced0735e90b0f9270a1e6"
 _P99_MS = 477.1732008761719
 _EVENTS = 33590
-#: Ticks that reach the hook: FM's ticks at its table's top degree are
-#: skipped (28 652 ticks fire in this cell).
-_HOOK_CALLS = 12679
+#: Ticks that reach the hook: FM skips every tick below its row's next
+#: step and every tick at its table's top degree, so each call left
+#: raises the degree (29 652 ticks fire in this cell).
+_HOOK_CALLS = 897
+#: ``Engine.work``: the scheduled kinds sum to ``_EVENTS``.
+_WORK = {
+    "arrivals": 1000,
+    "completions": 1000,
+    "superseded_completions": 1820,
+    "ticks": 29652,
+    "tick_hooks": _HOOK_CALLS,
+    "horizon_evaluations": 5803,
+    "delay_expiries": 118,
+    "faults": 0,
+}
 
 
 def _record_digest(result) -> str:
@@ -64,12 +76,14 @@ def test_fm_at_43_rps_matches_its_pins():
         np.random.default_rng(cell_seed(42, _GRID_RPS.index(_RPS), 0)),
     )
     scheduler = FMScheduler(table)
-    calls = {"n": 0}
+    calls = {"n": 0, "raises": 0}
     on_quantum = scheduler.on_quantum
 
     def counting(ctx, request):
         calls["n"] += 1
-        return on_quantum(ctx, request)
+        desired = on_quantum(ctx, request)
+        calls["raises"] += desired > request.degree
+        return desired
 
     scheduler.on_quantum = counting
     engine = Engine(
@@ -83,4 +97,5 @@ def test_fm_at_43_rps_matches_its_pins():
     assert _record_digest(result) == _DIGEST
     assert result.tail_latency_ms(0.99) == _P99_MS
     assert engine.events_processed == _EVENTS
-    assert calls["n"] == _HOOK_CALLS
+    assert calls["n"] == calls["raises"] == _HOOK_CALLS
+    assert engine.work == _WORK
