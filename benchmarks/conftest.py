@@ -1,53 +1,16 @@
 """Shared benchmark fixtures.
 
-Each bench regenerates one table/figure of the paper via the
-corresponding :mod:`repro.experiments.figures` function, prints the
-rows/series the paper plots, and records headline numbers in
-``benchmark.extra_info``.  Rendered outputs are also written to
-``benchmarks/output/<figure>.txt`` for EXPERIMENTS.md.
-
 Scale comes from ``REPRO_SCALE`` (tiny / quick / full; default quick).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.config import Scale, default_scale
-from repro.experiments.report import FigureResult
-
-OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
 def scale() -> Scale:
     """The fidelity preset for this benchmark session."""
     return default_scale()
-
-
-@pytest.fixture(scope="session")
-def save_figure():
-    """Write a rendered figure to benchmarks/output/ and echo it."""
-
-    def _save(result: FigureResult) -> FigureResult:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        text = result.render()
-        (OUTPUT_DIR / f"{result.figure_id}.txt").write_text(text + "\n")
-        print()
-        print(text)
-        return result
-
-    return _save
-
-
-def run_figure(benchmark, figure_fn, scale, save_figure) -> FigureResult:
-    """Run one figure function under pytest-benchmark (single round —
-    these are experiments, not microbenchmarks) and persist the output."""
-    result = benchmark.pedantic(figure_fn, args=(scale,), rounds=1, iterations=1)
-    benchmark.extra_info["scale"] = scale.name
-    benchmark.extra_info["figure"] = result.figure_id
-    for note in result.notes:
-        print(f"note: {note}")
-    return save_figure(result)

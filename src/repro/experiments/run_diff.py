@@ -6,7 +6,8 @@ Fig. 8 load point:
 * **Self-diff attestation** — an FM run diffed against its own
   ledger round-trip: the histogram state restores bit-identically, so
   every delta is *exactly* zero and the verdict is a certain null
-  (the invariant ``benchmarks/check_regression.py`` gates in ``BENCH_diff.json``).
+  (``tests/experiments/test_run_diff.py`` also attests it on the
+  500-request FM and FIX-3 runs at the compare load).
 * **FM vs FIX-3** — the paper's headline comparison with error bars:
   the p99 delta carries a bootstrap CI and a significance verdict
   instead of a bare point gap.  The explanation ranking attributes the

@@ -7,10 +7,9 @@ drains, ``sorted(set)`` delayed rescans, and a dataclass-item event
 heap.  It exists for one purpose: **bit-for-bit equivalence checks**.
 The optimized engine must produce byte-identical
 :class:`~repro.sim.metrics.SimulationResult` metrics on fixed seeds,
-and both the equivalence tests (``tests/sim/test_engine_equivalence``)
-and the engine benchmark (``benchmarks/run_all.py --only engine`` →
-``BENCH_engine.json``, gated by ``benchmarks/check_regression.py``)
-diff against this implementation.
+and the equivalence tests (``tests/sim/test_engine_equivalence``, which
+also time the engine against it on a saturated Bing cell, and
+``tests/hetero/test_hetero_engine``) diff against this implementation.
 
 Do **not** optimize, extend, or "clean up" this file — its value is
 that it never changes.  It shares :class:`~repro.sim.request.SimRequest`

@@ -222,8 +222,9 @@ class Engine:
         contention inflation, boost wait, stall — which surface on
         :class:`~repro.sim.metrics.RequestRecord`, as ``sim.attr.*``
         histograms, and as attrs on the ``run`` span.  Disable to shave
-        the accounting from the hot loop (``BENCH_observe.json``
-        quantifies the cost).
+        the accounting from the hot loop (perfbench's traced-session
+        workload reports the cost as
+        ``sim.engine.attribution_overhead_ratio``).
     topology:
         Optional :class:`~repro.hetero.pools.Topology` of typed core
         pools (big/little, DVFS-resolved speeds and powers).  When set,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+import repro.observe.slo as slo_mod
 from repro.cluster.adaptive import (
     MODES,
     AdaptiveReplicationController,
@@ -304,3 +306,31 @@ class TestTelemetry:
         )
         assert gauges["cluster.adaptive.hedge_budget"].value == 0.0
         assert gauges["cluster.adaptive.utilization"].value > 0.9
+
+
+class TestWorkGate:
+    """Counts, not times, so a change that sorts per observation fails
+    on every host."""
+
+    def test_slo_windows_sort_a_bounded_number_of_times_per_closed_window(
+        self, monkeypatch
+    ):
+        """100 000 heavy-tailed completions over 50 control windows: a
+        closed window reads the short and long SLO percentiles for its
+        status and again for drift, four sorts in all."""
+        sorts = []
+        monkeypatch.setattr(
+            slo_mod, "sorted", lambda values: sorts.append(1) or sorted(values),
+            raising=False,
+        )
+        rng = np.random.default_rng(7)
+        latencies = rng.lognormal(mean=3.0, sigma=1.0, size=100_000)
+        times = np.cumsum(rng.exponential(scale=0.05, size=latencies.size))
+        controller = AdaptiveReplicationController(
+            ControllerConfig(window_ms=100.0, cores=12)
+        )
+        for latency, at_ms in zip(latencies.tolist(), times.tolist()):
+            controller.observe(latency, at_ms=at_ms, busy_ms=latency / 3.0, queue_depth=4.0)
+        controller.flush(float(times[-1]))
+        assert controller.windows_observed == 50
+        assert len(sorts) <= 4 * controller.windows_observed

@@ -7,10 +7,11 @@ import math
 
 import pytest
 
-from repro.experiments.config import TINY
+from repro.experiments.config import QUICK, TINY
 from repro.experiments.hetero_energy import (
     CORES,
     RPS_SWEEP,
+    _point_energy,
     big_little_topology,
     experiment_hetero_energy,
     hetero_policies,
@@ -72,6 +73,7 @@ class TestExperiment:
         assert len(tiny_figure.tables) == 4
         assert tiny_figure.tables[3].caption.startswith("repro diff")
         assert len(tiny_figure.notes) >= 4
+        assert any("strictly dominates FIX-3" in note for note in tiny_figure.notes)
         # Ledger entries offered for --ledger persistence: one per
         # big/little policy at the decomposition load.
         names = {entry.card.name for entry in tiny_figure.entries}
@@ -85,11 +87,19 @@ class TestExperiment:
             for row in table.rows:
                 assert math.isfinite(row[jpq_col])
 
-    def test_frontier_claim_holds(self, tiny_figure):
+    def test_frontier_claim_holds(self, big_little_sweeps):
         """The acceptance gate: EA-FM dominates FIX-3 (lower p99 AND
         lower J/query) at >= 1 load point on the big/little topology."""
+        sweep, _ = big_little_sweeps
+        fix, ea = sweep["FIX-3"], sweep["EA-FM"]
+
+        def joules_per_query(policy, i):
+            return _point_energy(sweep, policy, i)[0]
+
         assert any(
-            "strictly dominates FIX-3" in note for note in tiny_figure.notes
+            ea.tail_ms[i] <= fix.tail_ms[i]
+            and joules_per_query("EA-FM", i) <= joules_per_query("FIX-3", i)
+            for i in range(len(RPS_SWEEP))
         )
 
     def test_decomposition_adds_up(self, tiny_figure):
@@ -100,13 +110,20 @@ class TestExperiment:
             assert parts == pytest.approx(row[total_col], rel=1e-9)
 
 
+@pytest.fixture(scope="module", params=[TINY, QUICK], ids=lambda s: s.name)
+def big_little_sweeps(request):
+    """The big/little sweep run serially and across 2 workers."""
+    topology = big_little_topology()
+    with default_workers(1):
+        serial = run_hetero_sweep(request.param, topology)
+    with default_workers(2):
+        parallel = run_hetero_sweep(request.param, topology)
+    return serial, parallel
+
+
 class TestDeterminism:
-    def test_sweep_is_identical_across_worker_counts(self):
-        topology = big_little_topology()
-        with default_workers(1):
-            serial = run_hetero_sweep(TINY, topology)
-        with default_workers(2):
-            parallel = run_hetero_sweep(TINY, topology)
+    def test_sweep_is_identical_across_worker_counts(self, big_little_sweeps):
+        serial, parallel = big_little_sweeps
         assert serial.policies() == parallel.policies()
         for name in serial.policies():
             assert serial[name].tail_ms == parallel[name].tail_ms

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.parallel as parallel_mod
 from repro.errors import ConfigurationError
+from repro.experiments.config import QUICK
 from repro.experiments.runner import (
     PolicySeries,
     SweepResult,
@@ -23,6 +24,7 @@ from repro.experiments.runner import (
     run_policy,
     run_sweep,
 )
+from repro.experiments.tables import bing_table
 from repro.parallel import (
     default_workers,
     get_default_workers,
@@ -31,9 +33,10 @@ from repro.parallel import (
     set_default_workers,
 )
 from repro.core.speedup import TabulatedSpeedup, UniformSpeedupModel
-from repro.schedulers import FixedScheduler, SequentialScheduler
+from repro.schedulers import FixedScheduler, FMScheduler, SequentialScheduler
 from repro.telemetry import Telemetry, install
 from repro.telemetry.histogram import LogHistogram
+from repro.workloads import bing as bing_mod
 from repro.workloads.synthetic import DemandDistribution
 from repro.workloads.workload import Workload
 
@@ -49,6 +52,28 @@ def _workload():
 
 def _schedulers():
     return {"SEQ": SequentialScheduler(), "FIX-2": FixedScheduler(2)}
+
+
+#: Pooled sweeps against the serial oracle: (schedulers, workload, loads,
+#: sweep kwargs, workers).  The Bing grid is FIX-4 and FM on its QUICK
+#: table from light load to saturation, 500 requests a cell, 4 workers.
+_GRIDS = {
+    "synthetic": lambda: (
+        _schedulers(), _workload(), [40.0, 100.0],
+        dict(num_requests=150, cores=4, seed=1234, repeats=2), 2,
+    ),
+    "bing-quick": lambda: (
+        {"FIX-4": FixedScheduler(4), "FM": FMScheduler(bing_table(QUICK))},
+        bing_mod.bing_workload(profile_size=QUICK.profile_size),
+        [120.0, 240.0, 420.0, 600.0],
+        dict(
+            num_requests=QUICK.num_requests, cores=bing_mod.CORES,
+            quantum_ms=bing_mod.QUANTUM_MS, spin_fraction=bing_mod.SPIN_FRACTION,
+            seed=42, repeats=2,
+        ),
+        4,
+    ),
+}
 
 
 def _serial_sweep(
@@ -152,12 +177,14 @@ class TestSweepMatchesSerialOracle:
                 ),
             )
 
-    def test_multiprocess_pool_matches_serial(self):
-        """The real pool: identical results with workers=2."""
-        kwargs = dict(num_requests=150, cores=4, seed=1234, repeats=2)
-        rps_values = [40.0, 100.0]
-        serial = _serial_sweep(_schedulers(), _workload(), rps_values, **kwargs)
-        parallel = run_sweep(_schedulers(), _workload(), rps_values, workers=2, **kwargs)
+    @pytest.mark.parametrize("grid", sorted(_GRIDS))
+    def test_multiprocess_pool_matches_serial(self, grid):
+        """The real pool: identical results across worker processes."""
+        schedulers, workload, rps_values, kwargs, workers = _GRIDS[grid]()
+        serial = _serial_sweep(schedulers, workload, rps_values, **kwargs)
+        parallel = run_sweep(
+            schedulers, workload, rps_values, workers=workers, **kwargs
+        )
         _assert_sweeps_identical(serial, parallel)
 
     def test_keep_results_round_trips_records(self):

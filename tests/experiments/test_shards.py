@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import repro.parallel as parallel_mod
 from repro.errors import ConfigurationError
 from repro.experiments import mega_sweep
-from repro.experiments.config import Scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.runner import cell_seed, stream_policy
+from repro.experiments.tables import bing_table
 from repro.parallel import (
     default_shards,
     default_workers,
@@ -24,7 +25,8 @@ from repro.parallel import (
     set_default_shards,
     shard_sizes,
 )
-from repro.schedulers import FixedScheduler, SequentialScheduler
+from repro.schedulers import FixedScheduler, FMScheduler, SequentialScheduler
+from repro.workloads import bing as bing_mod
 from tests.experiments.test_parallel_bugfixes import _workload
 
 _RPS = [40.0, 80.0]
@@ -48,6 +50,26 @@ def _sweep(workers, shards=3, vectorized=False):
     )
 
 
+def _bing_sweep(workers):
+    """FIX-4 and FM on its QUICK Bing table at 240 and 600 RPS, 500
+    requests a cell in 4 shards."""
+    return run_sharded_sweep(
+        {"FIX-4": FixedScheduler(4), "FM": FMScheduler(bing_table(QUICK))},
+        bing_mod.bing_workload(profile_size=QUICK.profile_size),
+        [240.0, 600.0],
+        cores=bing_mod.CORES,
+        num_requests=QUICK.num_requests,
+        shards=4,
+        workers=workers,
+        quantum_ms=bing_mod.QUANTUM_MS,
+        seed=42,
+        spin_fraction=bing_mod.SPIN_FRACTION,
+    )
+
+
+_SWEEPS = {"synthetic": _sweep, "bing-quick": _bing_sweep}
+
+
 def _assert_sweeps_identical(a, b):
     assert a.policies() == b.policies()
     assert a.rps_values == b.rps_values
@@ -62,10 +84,12 @@ def _assert_sweeps_identical(a, b):
 
 
 class TestWorkerCountInvariance:
-    def test_workers_is_not_a_results_knob(self):
-        serial = _sweep(workers=1)
-        _assert_sweeps_identical(serial, _sweep(workers=2))
-        _assert_sweeps_identical(serial, _sweep(workers=4))
+    @pytest.mark.parametrize("grid", sorted(_SWEEPS))
+    def test_workers_is_not_a_results_knob(self, grid):
+        sweep = _SWEEPS[grid]
+        serial = sweep(workers=1)
+        _assert_sweeps_identical(serial, sweep(workers=2))
+        _assert_sweeps_identical(serial, sweep(workers=4))
 
     def test_mega_sweep_experiment_is_identical_across_workers(self, monkeypatch):
         # The experiment's own grid (FM on its Lucene table, FIX-4, three

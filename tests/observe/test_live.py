@@ -11,7 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.observe.slo as slo_mod
 from repro.errors import ConfigurationError
+from repro.experiments.config import QUICK, TINY
+from repro.experiments.tables import bing_table
 from repro.hetero import Topology
 from repro.observe.analyze import analyze_spans
 from repro.observe.anomaly import ChangepointDetector
@@ -20,7 +23,8 @@ from repro.observe.slo import SLOMonitor, SLOTarget
 from repro.schedulers import FixedScheduler, FMScheduler, HurryUpScheduler
 from repro.sim.engine import Engine, simulate
 from repro.sim.stream import StreamingCollector
-from repro.telemetry import Telemetry
+from repro.telemetry import LogHistogram, Telemetry
+from repro.workloads import bing as bing_mod
 from repro.workloads.arrivals import PoissonProcess
 
 
@@ -284,17 +288,18 @@ class TestRegistryWindows:
 
 
 class TestReplay:
-    def _traced_run(self, tiny_workload, small_table):
+    def _traced_run(self, workload, table, cores=4, **machine):
         telemetry = Telemetry()
         rng = np.random.default_rng(23)
-        arrivals = tiny_workload.arrivals(150, PoissonProcess(250.0), rng)
+        arrivals = workload.arrivals(150, PoissonProcess(250.0), rng)
         plane = LivePlane(window_ms=100.0, capacity=4096)
         result = simulate(
             arrivals,
-            FMScheduler(small_table),
-            cores=4,
+            FMScheduler(table),
+            cores=cores,
             telemetry=telemetry,
             live=plane,
+            **machine,
         )
         return telemetry, plane, result
 
@@ -312,10 +317,20 @@ class TestReplay:
                     component
                 ] == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize("cell", ["small", "bing-tiny"])
     def test_replay_totals_match_analyze_to_1e6(
-        self, tiny_workload, small_table
+        self, tiny_workload, small_table, cell
     ):
-        telemetry, _, _ = self._traced_run(tiny_workload, small_table)
+        if cell == "small":
+            telemetry, _, _ = self._traced_run(tiny_workload, small_table)
+        else:
+            telemetry, _, _ = self._traced_run(
+                bing_mod.bing_workload(profile_size=TINY.profile_size),
+                bing_table(TINY),
+                cores=bing_mod.CORES,
+                quantum_ms=bing_mod.QUANTUM_MS,
+                spin_fraction=bing_mod.SPIN_FRACTION,
+            )
         spans = telemetry.tracer.spans
         plane = replay_spans(spans)
         report = analyze_spans(spans, phi=0.99)
@@ -388,3 +403,55 @@ class TestReplay:
         text = plane.render()
         assert "attribution" in text
         assert "bar legend" in text
+
+
+class TestWorkGate:
+    """Counts, not times, so a plane that rescans its history per
+    window or per completion fails on every host."""
+
+    def test_closed_windows_take_no_full_histogram_scan(self, monkeypatch):
+        """An armed plane (SLO, detector, registry windows) on FM's
+        QUICK Bing table, 1000 requests at 180 RPS: each closed window
+        slices the registry against the snapshot taken at the window
+        before, which reads only the buckets written since, and polls
+        the SLO monitor's two windows at most twice."""
+        scans, sorts = [], []
+        scan = LogHistogram._scanned_deltas
+        monkeypatch.setattr(
+            LogHistogram,
+            "_scanned_deltas",
+            lambda self, previous: scans.append(1) or scan(self, previous),
+        )
+        monkeypatch.setattr(
+            slo_mod, "sorted", lambda values: sorts.append(1) or sorted(values),
+            raising=False,
+        )
+        workload = bing_mod.bing_workload(profile_size=QUICK.profile_size)
+        arrivals = workload.arrivals(
+            1000, PoissonProcess(180.0), np.random.default_rng(23)
+        )
+        telemetry = Telemetry()
+        plane = LivePlane(
+            window_ms=100.0,
+            capacity=4096,
+            slo=SLOMonitor(
+                SLOTarget(percentile=0.99, threshold_ms=120.0),
+                short_window_ms=200.0,
+                long_window_ms=800.0,
+                min_samples=20,
+            ),
+            detector=ChangepointDetector(warmup=4, threshold=3.5),
+            telemetry=telemetry,
+        )
+        Engine(
+            cores=bing_mod.CORES,
+            scheduler=FMScheduler(bing_table(QUICK)),
+            quantum_ms=bing_mod.QUANTUM_MS,
+            spin_fraction=bing_mod.SPIN_FRACTION,
+            telemetry=telemetry,
+            live=plane,
+        ).run(arrivals)
+        windows = len(plane.windows())
+        assert windows == len(plane.window_snapshots()) > 50
+        assert scans == []
+        assert len(sorts) <= 4 * windows

@@ -13,16 +13,18 @@ every scheduler hook sees.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.config import TINY
+from repro.experiments.config import QUICK, TINY
 from repro.experiments.tables import lucene_table
 from repro.faults.plan import FaultPlan
 from repro.hetero.pools import Topology
 from repro.observe.live import LivePlane
 from repro.schedulers import FixedScheduler, FMScheduler
-from repro.sim.engine import BATCH_ENTRY, BATCH_EXIT
+from repro.sim.engine import BATCH_ENTRY, BATCH_EXIT, Engine
 from repro.sim.stream import StreamingCollector
+from repro.sim.vector import VectorEngine
 from repro.workloads import bing as bing_mod
 from repro.workloads import lucene as lucene_mod
 from repro.workloads.arrivals import PoissonProcess
@@ -31,6 +33,7 @@ from tests.sim.test_engine_equivalence import (
     _LoopOnly,
     _SwitchCounting,
     _assert_identical,
+    _interleaved_best,
     _sweep_arrivals,
 )
 
@@ -212,3 +215,45 @@ class TestWhereTheDefaultEngineBatches:
         )
         engine.run(arrivals)
         assert engine.peak >= BATCH_ENTRY and engine.entries == 0
+
+
+class TestMegaCell:
+    """The overloaded Bing FIX-4 cell the batch kernels are for: 3000
+    requests at 900 RPS on 8 cores (arrival seed 7, QUICK profile),
+    whose running set reaches the hundreds.  The loop-only engine, the
+    vector engine (batch kernels throughout) and the default engine
+    (batch kernels past BATCH_ENTRY) each run twice, interleaved."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        workload = bing_mod.bing_workload(profile_size=QUICK.profile_size)
+        arrivals = workload.arrivals(
+            3000, PoissonProcess(900.0), np.random.default_rng(7)
+        )
+        engines = {"loops": _LoopOnly, "vector": VectorEngine, "default": Engine}
+        results = {}
+
+        def run(name):
+            engine = engines[name](
+                cores=8,
+                scheduler=FixedScheduler(4),
+                quantum_ms=bing_mod.QUANTUM_MS,
+                spin_fraction=bing_mod.SPIN_FRACTION,
+            )
+            results[name] = engine.run(arrivals)
+
+        best = _interleaved_best(
+            {name: lambda name=name: run(name) for name in engines}, rounds=2
+        )
+        return results, best
+
+    @pytest.mark.parametrize("kernels", ["vector", "default"])
+    def test_batch_kernels_match_the_loops(self, cell, kernels):
+        results, _ = cell
+        _assert_identical(results[kernels], results["loops"])
+
+    @pytest.mark.parametrize("kernels", ["vector", "default"])
+    def test_batch_kernels_run_at_least_3x_faster(self, cell, kernels):
+        """Same host, same trace (about 8-9x on a 2-vCPU host)."""
+        _, best = cell
+        assert best["loops"] / best[kernels] >= 3.0
