@@ -64,6 +64,15 @@ class TestMain:
         out = capsys.readouterr().out
         assert "overhead" in out
 
+    def test_telemetry_note_reports_panel_one_ratio(self):
+        from repro.experiments.config import TINY
+        from repro.experiments.telemetry import experiment_telemetry
+
+        result = experiment_telemetry(TINY)
+        off, on = result.tables[0].rows
+        ratio = f"off/on wall-time ratio is {off[1] / on[1]:.3f}"
+        assert any(ratio in note for note in result.notes)
+
     def test_trace_writes_chrome_json_with_layer_spans(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         assert main(["telemetry", "--scale", "tiny", "--trace", str(trace_path)]) == 0

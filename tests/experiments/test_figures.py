@@ -4,6 +4,8 @@ orderings that must hold even at small scale."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import TINY, Scale, default_scale
@@ -16,7 +18,12 @@ from repro.experiments.figures import (
     fig5_example_table,
     theorem1_check,
 )
+from repro.experiments.robustness import ROBUSTNESS
 from repro.errors import ConfigurationError
+
+#: Where ``benchmarks/bench_figures.py`` writes each experiment's
+#: render, which EXPERIMENTS.md cites.
+RENDERS = Path(__file__).resolve().parents[2] / "benchmarks" / "output"
 
 
 class TestScaleConfig:
@@ -30,6 +37,15 @@ class TestScaleConfig:
     def test_scale_validation(self):
         with pytest.raises(ConfigurationError):
             Scale("bad", num_requests=1, profile_size=10, num_bins=None, step_ms=5.0)
+
+
+class TestCommittedRenders:
+    def test_renders_are_exactly_the_registered_experiments(self):
+        renders = {path.stem: path for path in RENDERS.glob("*.txt")}
+        figures = {**ALL_EXPERIMENTS, **ABLATIONS, **EXTENSIONS, **ROBUSTNESS}
+        assert sorted(renders) == sorted(figures)
+        for figure_id, path in renders.items():
+            assert path.read_text().startswith(f"=== {figure_id}: ")
 
 
 class TestWorkloadFigures:
