@@ -91,19 +91,16 @@ class Tracer:
     ) -> Span:
         """Open a span.  Without an explicit ``parent`` the innermost
         context-propagated span (if any) is used."""
-        if parent is None:
-            parent = _CURRENT_SPAN.get()
-        span = Span(
+        span_id, parent_id = self.reserve(parent)
+        return Span(
             name=name,
             track=track,
             lane=lane,
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
+            span_id=span_id,
+            parent_id=parent_id,
             start_ms=self.clock.now_ms() if at_ms is None else float(at_ms),
             attrs=attrs,
         )
-        self._next_id += 1
-        return span
 
     def end(self, span: Span, at_ms: float | None = None, **attrs: Any) -> Span:
         """Close a span and record it."""
@@ -117,6 +114,23 @@ class Tracer:
             )
         if attrs:
             span.attrs.update(attrs)
+        self.spans.append(span)
+        return span
+
+    def reserve(self, parent: Span | None = None) -> tuple[int, int | None]:
+        """Take the next span id, with the parent id a span opened now
+        gets: ``parent``'s, else the innermost context-propagated
+        span's.  A caller that builds a finished :class:`Span` itself
+        (the simulator's run spans, built once at completion) stores it
+        with :meth:`record`."""
+        if parent is None:
+            parent = _CURRENT_SPAN.get()
+        span_id = self._next_id
+        self._next_id += 1
+        return span_id, parent.span_id if parent is not None else None
+
+    def record(self, span: Span) -> Span:
+        """Store a finished span the caller built (see :meth:`reserve`)."""
         self.spans.append(span)
         return span
 
@@ -147,21 +161,20 @@ class Tracer:
     ) -> Span:
         """Record a point event (a decision, a boost, a shed)."""
         at = self.clock.now_ms() if at_ms is None else float(at_ms)
-        parent = _CURRENT_SPAN.get()
-        span = Span(
-            name=name,
-            track=track,
-            lane=lane,
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            start_ms=at,
-            end_ms=at,
-            kind=INSTANT,
-            attrs=attrs,
+        span_id, parent_id = self.reserve()
+        return self.record(
+            Span(
+                name=name,
+                track=track,
+                lane=lane,
+                span_id=span_id,
+                parent_id=parent_id,
+                start_ms=at,
+                end_ms=at,
+                kind=INSTANT,
+                attrs=attrs,
+            )
         )
-        self._next_id += 1
-        self.spans.append(span)
-        return span
 
     # ------------------------------------------------------------------
     # Context-propagated nesting (lexical callers)
@@ -215,6 +228,9 @@ class NullTracer(Tracer):
 
     def end(self, span: Span, at_ms: float | None = None, **attrs: Any) -> Span:
         span.end_ms = span.start_ms if at_ms is None else float(at_ms)
+        return span
+
+    def record(self, span: Span) -> Span:
         return span
 
     def instant(

@@ -17,7 +17,8 @@ from repro.search.corpus import generate_corpus, generate_query_log
 from repro.search.executor import SearchEngine
 from repro.search.index import InvertedIndex
 from repro.search.query import parse_query
-from repro.sim.engine import ArrivalSpec, simulate
+from repro.sim.engine import ArrivalSpec, Engine, simulate
+from repro.sim.stream import StreamingCollector
 from repro.sim.trace import SCHED_TRACK, TraceRecorder
 from repro.telemetry import Telemetry, install
 from repro.workloads.arrivals import UniformProcess
@@ -59,6 +60,34 @@ class TestSimEngine:
         assert metrics.counters["sim.arrivals"].value == 3
         assert metrics.counters["sim.completions"].value == 3
         assert metrics.histograms["sim.latency_ms"].count == 3
+
+    def test_streamed_run_folds_its_rows_as_it_goes(self, monkeypatch):
+        """With telemetry and no live plane, completion rows fold every
+        4096 rows: a streamed run of 10 000 requests holds no more, and
+        its registry reads as the full-record run's."""
+        pending = []
+        fold = Engine._fold
+
+        def watched(engine):
+            pending.append(len(engine._rows))
+            fold(engine)
+
+        monkeypatch.setattr(Engine, "_fold", watched)
+        specs = _specs([(2.0 * i, 1.0 + i % 7) for i in range(10_000)])
+        registries = []
+        for streamed in (False, True):
+            telemetry = Telemetry()
+            Engine(
+                4,
+                SequentialScheduler(),
+                telemetry=telemetry,
+                collector=StreamingCollector(4) if streamed else None,
+            ).run(iter(specs) if streamed else specs)
+            registries.append(telemetry.metrics.as_dict())
+        assert registries[1] == registries[0]
+        assert registries[0]["counters"]["sim.completions"] == 10_000
+        assert max(pending) == 4096
+        assert pending.count(4096) == 4  # two per run
 
     def test_queue_span_precedes_run(self):
         telemetry = Telemetry()
